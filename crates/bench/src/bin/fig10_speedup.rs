@@ -68,7 +68,6 @@ fn main() {
             "4c Nehalem",
             "seq model",
             "seq host",
-            "host simd×",
         ],
     );
     let mut eval = Table::new(
@@ -110,23 +109,19 @@ fn main() {
             eval_traffic.dram_bytes / 64,
         );
 
-        // --- Real host measurements (reference columns), once per kernel
-        // with dispatch pinned: the scalar/SIMD pair records the measured
-        // lane-width gain on this hardware next to the machine models.
-        let nodal = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
-        let mut host_times = [(KernelKind::Scalar, 0.0, 0.0), (simd, 0.0, 0.0)];
-        for (kind, t_hier, t_eval) in &mut host_times {
-            with_kernel(KernelSelect::Force(*kind), || {
-                let mut g = nodal.clone();
-                *t_hier = sg_bench::time_once(|| sg_core::hierarchize::hierarchize(&mut g));
-                *t_eval = sg_bench::time_once(|| {
+        // --- Real host measurements (reference columns): one hierarchize,
+        // then evaluation once per kernel with dispatch pinned — the
+        // scalar/SIMD pair records the measured lane-width gain on this
+        // hardware next to the machine models.
+        let mut g = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
+        let t_host_hier = sg_bench::time_once(|| sg_core::hierarchize::hierarchize(&mut g));
+        let [t_host_eval_scalar, t_host_eval] = [KernelKind::Scalar, simd].map(|kind| {
+            with_kernel(KernelSelect::Force(kind), || {
+                sg_bench::time_once(|| {
                     std::hint::black_box(sg_core::evaluate::evaluate_batch_blocked(&g, &xs, 64));
-                });
-            });
-        }
-        let (_, t_host_hier_scalar, t_host_eval_scalar) = host_times[0];
-        let (_, t_host_hier, t_host_eval) = host_times[1];
-        let simd_hier_speedup = t_host_hier_scalar / t_host_hier.max(f64::MIN_POSITIVE);
+                })
+            })
+        });
         let simd_eval_speedup = t_host_eval_scalar / t_host_eval.max(f64::MIN_POSITIVE);
 
         // --- GPU simulation (f32 coefficients, as the paper's kernels).
@@ -156,7 +151,6 @@ fn main() {
             format!("{:.1}", hier_speedups[2]),
             fmt_secs(t_seq_hier),
             fmt_secs(t_host_hier),
-            format!("{simd_hier_speedup:.2}"),
         ]);
         eval.add_row(vec![
             d.to_string(),
@@ -181,16 +175,13 @@ fn main() {
             "seq_model_hier_s": t_seq_hier, "seq_model_eval_s": t_seq_eval,
             "seq_host_hier_s": t_host_hier, "seq_host_eval_s": t_host_eval,
             "host_kernel": simd.name(),
-            "host_hier_scalar_s": t_host_hier_scalar,
             "host_eval_scalar_s": t_host_eval_scalar,
-            "simd_hier_speedup": simd_hier_speedup,
             "simd_eval_speedup": simd_eval_speedup,
         }));
         traj.push((format!("d{d}/gpu_hier_s"), hier_report.time.total));
         traj.push((format!("d{d}/gpu_eval_s"), eval_report.time.total));
         traj.push((format!("d{d}/seq_host_hier_s"), t_host_hier));
         traj.push((format!("d{d}/seq_host_eval_s"), t_host_eval));
-        traj.push((format!("d{d}/simd_hier_speedup"), simd_hier_speedup));
         traj.push((format!("d{d}/simd_eval_speedup"), simd_eval_speedup));
         eprintln!("d={d} done");
     }

@@ -59,9 +59,6 @@ fn main() {
         &[
             "d",
             "points",
-            "hier scalar",
-            &format!("hier {}", simd.name()),
-            "speedup",
             "eval scalar",
             &format!("eval {}", simd.name()),
             "speedup",
@@ -128,59 +125,35 @@ fn main() {
         hier.add_row(hier_cells);
         eval.add_row(eval_cells);
 
-        // Scalar-vs-SIMD kernel ablation on the compact structure: the
-        // same traversal with dispatch pinned, so the delta is the lane
-        // width and nothing else (results are bitwise identical — the
-        // kernel_matrix suite holds that invariant).
-        let nodal = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
-        let surplus = {
-            let mut g = nodal.clone();
-            sg_core::hierarchize::hierarchize(&mut g);
-            g
-        };
-        let mut kernel_times = [(KernelKind::Scalar, 0.0, 0.0), (simd, 0.0, 0.0)];
-        for (kind, t_hier, t_eval) in &mut kernel_times {
-            with_kernel(KernelSelect::Force(*kind), || {
-                // Median over fresh fills, timing only the sweep (same
-                // protocol as the fig9a column above).
-                let mut samples: Vec<f64> = (0..repeats)
-                    .map(|_| {
-                        let mut g = nodal.clone();
-                        sg_bench::time_once(|| sg_core::hierarchize::hierarchize(&mut g))
-                    })
-                    .collect();
-                samples.sort_by(f64::total_cmp);
-                *t_hier = samples[samples.len() / 2];
-                *t_eval = time_median(repeats.max(3), || {
+        // Scalar-vs-SIMD evaluation kernel ablation on the compact
+        // structure: the same traversal with dispatch pinned, so the
+        // delta is the lane width and nothing else (results are bitwise
+        // identical — the kernel_matrix suite holds that invariant).
+        // Hierarchization has one scalar sweep, so it has no ablation.
+        let mut surplus = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
+        sg_core::hierarchize::hierarchize(&mut surplus);
+        let [es, ev] = [KernelKind::Scalar, simd].map(|kind| {
+            with_kernel(KernelSelect::Force(kind), || {
+                time_median(repeats.max(3), || {
                     std::hint::black_box(sg_core::evaluate::evaluate_batch_blocked(
                         &surplus, &xs, 64,
                     ));
-                }) / evals as f64;
-            });
-        }
-        let (_, hs, es) = kernel_times[0];
-        let (_, hv, ev) = kernel_times[1];
-        let (hier_speedup, eval_speedup) = (
-            hs / hv.max(f64::MIN_POSITIVE),
-            es / ev.max(f64::MIN_POSITIVE),
-        );
+                }) / evals as f64
+            })
+        });
+        let eval_speedup = es / ev.max(f64::MIN_POSITIVE);
         kernels.add_row(vec![
             d.to_string(),
             spec.num_points().to_string(),
-            fmt_secs(hs),
-            fmt_secs(hv),
-            format!("{hier_speedup:.2}x"),
             fmt_secs(es),
             fmt_secs(ev),
             format!("{eval_speedup:.2}x"),
         ]);
         raw.push(sg_json::json!({
             "d": d, "kind": "compact-kernels", "simd_kernel": simd.name(),
-            "hier_scalar_s": hs, "hier_simd_s": hv, "simd_hier_speedup": hier_speedup,
             "eval_scalar_per_point_s": es, "eval_simd_per_point_s": ev,
             "simd_eval_speedup": eval_speedup,
         }));
-        traj.push((format!("d{d}/compact/simd_hier_speedup"), hier_speedup));
         traj.push((format!("d{d}/compact/simd_eval_speedup"), eval_speedup));
         eprintln!("d={d} done");
     }

@@ -60,8 +60,8 @@ tel! {
 /// Per-dimension contribution at `x`: the in-subspace cell index and the
 /// hat value inside that cell (paper Alg. 7 lines 9–13).
 ///
-/// Public because every evaluation path in the workspace — capped grids,
-/// boundary faces, the GPU kernel simulator — must share this exact
+/// Public because every evaluation path in the workspace — boundary
+/// faces, the GPU kernel simulator — must share this exact
 /// convention (cell tie-break at dyadic points included) to stay
 /// numerically identical.
 #[inline(always)]
@@ -800,24 +800,5 @@ mod tests {
         let (c, b) = cell_and_basis(1, 0.5); // cell boundary
         assert!(c == 1 || c == 0);
         assert_eq!(b, 0.0);
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn subspace_walks_count_blocks_not_points() {
-        // 33 points in blocks of 8 → 5 blocks; the walk counter must
-        // advance once per (block, subspace), not once per point, and
-        // the plan must be built exactly once per batch call.
-        let spec = GridSpec::new(3, 4);
-        let g = surplus_grid(spec, |x| x[0] + x[1] + x[2]);
-        let pts: Vec<f64> = (0..99).map(|k| ((k * 43) % 103) as f64 / 103.0).collect();
-        let subspaces = EvalPlan::new(&spec).num_subspaces() as u64;
-        let counter = |name: &str| sg_telemetry::snapshot().counter(name).unwrap_or(0);
-        let walks0 = counter("core.evaluate.subspace_walks");
-        let plans0 = counter("core.evaluate.plan_builds");
-        evaluate_batch_blocked(&g, &pts, 8);
-        let walked = counter("core.evaluate.subspace_walks") - walks0;
-        assert_eq!(walked, 5 * subspaces, "blocks × subspaces, not points");
-        assert_eq!(counter("core.evaluate.plan_builds") - plans0, 1);
     }
 }

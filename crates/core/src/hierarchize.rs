@@ -18,9 +18,8 @@
 //! whose trailing bits vary freely share their ancestors' levels and
 //! boundary cases, and those ancestors occupy contiguous storage — so
 //! each run is one vertical stencil `v[j] −= (L[j]+R[j])/2` over
-//! contiguous slices, dispatched through [`crate::kernel`] (AVX2/NEON
-//! when available, bitwise identical to scalar), with two `gp2idx`
-//! calls per run instead of two per point.
+//! contiguous slices — an element-wise loop the compiler vectorizes on
+//! its own — with two `gp2idx` calls per run instead of two per point.
 //!
 //! With the `telemetry` feature, every level-group sweep is timed into the
 //! spans `core.hierarchize.group_<n>` (n = level sum of the group) and the
@@ -35,7 +34,6 @@
 
 use crate::bijection::GridIndexer;
 use crate::grid::CompactGrid;
-use crate::kernel::{self, KernelKind};
 use crate::level::{hierarchical_parent, Index, Level, Side};
 use crate::real::Real;
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
@@ -95,29 +93,10 @@ fn parent_halfsum<T: Real>(
     acc * T::HALF
 }
 
-/// One vertical run of the stencil: `out[j] ∓= ((0 + L[j]) + R[j])·½`.
-/// Dispatches to the f64 SIMD kernels when `T` is `f64`; any other
-/// `Real` takes the generic per-element path (identical operation
-/// order, so the two are interchangeable for `T = f64` too).
-fn stencil_run<T: Real>(
-    kind: KernelKind,
-    out: &mut [T],
-    left: Option<&[T]>,
-    right: Option<&[T]>,
-    add: bool,
-) {
-    // The ISA entry points are `#[target_feature]` functions, which the
-    // compiler cannot inline here; runs shorter than a vector register
-    // would pay that call only to land in the kernel's scalar tail, so
-    // they take the loop below directly (same operation order, so the
-    // choice is invisible bitwise).
-    if kind != KernelKind::Scalar && out.len() >= kind.lanes() * 2 {
-        if let Some(o) = T::as_f64_slice_mut(out) {
-            let l = left.map(|s| T::as_f64_slice(s).expect("same Real type"));
-            let r = right.map(|s| T::as_f64_slice(s).expect("same Real type"));
-            return kernel::stencil_halfsum(kind, o, l, r, add);
-        }
-    }
+/// One vertical run of the stencil: `out[j] ∓= ((0 + L[j]) + R[j])·½`,
+/// the same operation order as [`parent_halfsum`], signed zeros
+/// included.
+fn stencil_run<T: Real>(out: &mut [T], left: Option<&[T]>, right: Option<&[T]>, add: bool) {
     for j in 0..out.len() {
         let mut acc = T::ZERO;
         if let Some(l) = left {
@@ -140,7 +119,6 @@ fn stencil_run<T: Real>(
 /// ancestor lives there, so the borrow is disjoint from `chunk` in both
 /// the sequential and the pool-distributed sweeps.
 fn sweep_subspace<T: Real>(
-    kind: KernelKind,
     lower: &[T],
     chunk: &mut [T],
     indexer: &GridIndexer,
@@ -152,7 +130,7 @@ fn sweep_subspace<T: Real>(
         let out = &mut chunk[run.rank0..run.rank0 + run.len];
         let left = run.left.map(|b| &lower[b..b + run.len]);
         let right = run.right.map(|b| &lower[b..b + run.len]);
-        stencil_run(kind, out, left, right, add);
+        stencil_run(out, left, right, add);
     });
 }
 
@@ -163,7 +141,6 @@ fn sweep_subspace<T: Real>(
 fn sweep_sequential<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
     let spec = *grid.spec();
     let d = spec.dim();
-    let kind = kernel::active();
     let (indexer, values) = {
         let ix = grid.indexer().clone();
         (ix, grid.values_mut())
@@ -196,15 +173,7 @@ fn sweep_sequential<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
                 // Subspaces with l[t] = 0 have both ancestors on the
                 // domain boundary: the stencil is a no-op, skip them.
                 if l[t] != 0 {
-                    sweep_subspace(
-                        kind,
-                        lower,
-                        &mut group[sub..sub + sub_len],
-                        &indexer,
-                        &l,
-                        t,
-                        add,
-                    );
+                    sweep_subspace(lower, &mut group[sub..sub + sub_len], &indexer, &l, t, add);
                     tel! { touched += sub_len as u64; }
                 }
                 sub += sub_len;
@@ -262,7 +231,6 @@ pub fn hierarchize_alg6_literal<T: Real>(grid: &mut CompactGrid<T>) {
 fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
     let spec = *grid.spec();
     let d = spec.dim();
-    let kind = kernel::active();
     let indexer = grid.indexer().clone();
     let values = grid.values_mut();
     // Materialize each group's subspace level vectors once; they are the
@@ -300,8 +268,8 @@ fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
             // Subspaces of fine groups are tiny (2^n points): hand the
             // pool ~4096 points per claim so the shared-index atomic is
             // amortized, while coarse groups still claim subspace-wise.
-            // Claims are whole subspaces, which keeps every pole run —
-            // hence every SIMD lane group — within one worker.
+            // Claims are whole subspaces, which keeps every pole run
+            // within one worker.
             sg_par::par_chunks_mut_grained(
                 group,
                 sub_len,
@@ -313,7 +281,7 @@ fn sweep_parallel<T: Real>(grid: &mut CompactGrid<T>, add: bool) {
                     if l0[t] == 0 {
                         return;
                     }
-                    sweep_subspace(kind, lower, chunk, indexer, l0, t, add);
+                    sweep_subspace(lower, chunk, indexer, l0, t, add);
                 },
             );
             tel! {
@@ -359,7 +327,7 @@ pub fn dehierarchize_parallel<T: Real>(grid: &mut CompactGrid<T>) {
 mod tests {
     use super::*;
     use crate::grid::CompactGrid;
-    use crate::kernel::{detect, with_kernel, KernelSelect};
+    use crate::kernel::{detect, with_kernel, KernelKind, KernelSelect};
     use crate::level::GridSpec;
 
     fn sample(spec: GridSpec) -> CompactGrid<f64> {
@@ -415,6 +383,8 @@ mod tests {
         }
     }
 
+    /// Hierarchization has one sweep for every kernel selection; forcing
+    /// a kernel (which steers evaluation) must not change its bits.
     #[test]
     fn forced_kernels_match_the_literal_reference_bitwise() {
         let simd = detect();

@@ -1,11 +1,13 @@
 //! Runtime-dispatched SIMD kernel selection.
 //!
-//! The hot loops (blocked batch evaluation, the 1-d hierarchization
-//! stencil) exist in three implementations: a portable scalar one, an
-//! AVX2 one (x86_64) and a NEON one (aarch64), all built from
-//! `std::arch` only — no external dependencies, matching the
-//! workspace's vendor-free rule. Which one runs is decided **at
-//! runtime**:
+//! Blocked batch evaluation exists in three implementations: a portable
+//! scalar one, an AVX2 one (x86_64) and a NEON one (aarch64), all built
+//! from `std::arch` only — no external dependencies, matching the
+//! workspace's vendor-free rule. Hierarchization has no SIMD kernel:
+//! its pole-run stencil is an element-wise loop without a reduction,
+//! which the compiler already vectorizes, and hand-written AVX2/NEON
+//! versions of it measured at parity with that scalar loop. Which
+//! evaluation kernel runs is decided **at runtime**:
 //!
 //! 1. a process-wide override installed by [`with_kernel`] (tests and
 //!    the differential fuzzer pin each path this way), else
@@ -234,150 +236,6 @@ pub fn active() -> KernelKind {
     kind
 }
 
-// ---------------------------------------------------------------------
-// The vertical hierarchization stencil: out[j] ∓= ((0 + L[j]) + R[j])·½
-// across a run of poles with contiguous parent storage. The operation
-// sequence per element — zero, add left if present, add right if
-// present, multiply by 0.5, subtract (or add) — replicates the scalar
-// `parent_halfsum` exactly, signed zeros included.
-// ---------------------------------------------------------------------
-
-/// Scalar reference for the run stencil.
-fn stencil_scalar(out: &mut [f64], left: Option<&[f64]>, right: Option<&[f64]>, add: bool) {
-    for j in 0..out.len() {
-        let mut acc = 0.0f64;
-        if let Some(l) = left {
-            acc += l[j];
-        }
-        if let Some(r) = right {
-            acc += r[j];
-        }
-        let h = acc * 0.5;
-        if add {
-            out[j] += h;
-        } else {
-            out[j] -= h;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod stencil_x86 {
-    /// # Safety
-    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn stencil_avx2(
-        out: &mut [f64],
-        left: Option<&[f64]>,
-        right: Option<&[f64]>,
-        add: bool,
-    ) {
-        use std::arch::x86_64::*;
-        let n = out.len();
-        let half = _mm256_set1_pd(0.5);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let mut acc = _mm256_setzero_pd();
-            if let Some(l) = left {
-                acc = _mm256_add_pd(acc, _mm256_loadu_pd(l.as_ptr().add(j)));
-            }
-            if let Some(r) = right {
-                acc = _mm256_add_pd(acc, _mm256_loadu_pd(r.as_ptr().add(j)));
-            }
-            let h = _mm256_mul_pd(acc, half);
-            let v = _mm256_loadu_pd(out.as_ptr().add(j));
-            let v = if add {
-                _mm256_add_pd(v, h)
-            } else {
-                _mm256_sub_pd(v, h)
-            };
-            _mm256_storeu_pd(out.as_mut_ptr().add(j), v);
-            j += 4;
-        }
-        super::stencil_scalar(
-            &mut out[j..],
-            left.map(|l| &l[j..]),
-            right.map(|r| &r[j..]),
-            add,
-        );
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod stencil_arm {
-    /// # Safety
-    /// NEON is part of the aarch64 baseline; callers only pass runs
-    /// selected through `KernelKind::Neon.available()`.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn stencil_neon(
-        out: &mut [f64],
-        left: Option<&[f64]>,
-        right: Option<&[f64]>,
-        add: bool,
-    ) {
-        use std::arch::aarch64::*;
-        let n = out.len();
-        let half = vdupq_n_f64(0.5);
-        let mut j = 0usize;
-        while j + 2 <= n {
-            let mut acc = vdupq_n_f64(0.0);
-            if let Some(l) = left {
-                acc = vaddq_f64(acc, vld1q_f64(l.as_ptr().add(j)));
-            }
-            if let Some(r) = right {
-                acc = vaddq_f64(acc, vld1q_f64(r.as_ptr().add(j)));
-            }
-            let h = vmulq_f64(acc, half);
-            let v = vld1q_f64(out.as_ptr().add(j));
-            let v = if add {
-                vaddq_f64(v, h)
-            } else {
-                vsubq_f64(v, h)
-            };
-            vst1q_f64(out.as_mut_ptr().add(j), v);
-            j += 2;
-        }
-        super::stencil_scalar(
-            &mut out[j..],
-            left.map(|l| &l[j..]),
-            right.map(|r| &r[j..]),
-            add,
-        );
-    }
-}
-
-/// Apply the run stencil with the given kernel. `kind` must come from
-/// [`resolve`]/[`active`] (availability-checked), which is what makes
-/// the `unsafe` ISA calls sound.
-pub(crate) fn stencil_halfsum(
-    kind: KernelKind,
-    out: &mut [f64],
-    left: Option<&[f64]>,
-    right: Option<&[f64]>,
-    add: bool,
-) {
-    if let Some(l) = left {
-        debug_assert_eq!(l.len(), out.len());
-    }
-    if let Some(r) = right {
-        debug_assert_eq!(r.len(), out.len());
-    }
-    if kind == KernelKind::Scalar {
-        return stencil_scalar(out, left, right, add);
-    }
-    #[cfg(target_arch = "x86_64")]
-    if kind == KernelKind::Avx2 {
-        // Safety: `resolve` only yields Avx2 after feature detection.
-        return unsafe { stencil_x86::stencil_avx2(out, left, right, add) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if kind == KernelKind::Neon {
-        // Safety: NEON is baseline on aarch64.
-        return unsafe { stencil_arm::stencil_neon(out, left, right, add) };
-    }
-    stencil_scalar(out, left, right, add)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,30 +296,5 @@ mod tests {
             assert_eq!(resolve(), Err(KernelError::Unavailable(absent)));
             assert_eq!(active(), KernelKind::Scalar);
         });
-    }
-
-    #[test]
-    fn stencil_kinds_agree_bitwise() {
-        let kind = detect();
-        let n = 13; // covers vector body + tail
-        let base: Vec<f64> = (0..n).map(|j| (j as f64 * 0.37).sin()).collect();
-        let l: Vec<f64> = (0..n).map(|j| (j as f64 * 1.7).cos() * 3.0).collect();
-        let r: Vec<f64> = (0..n).map(|j| (j as f64 + 0.5).recip()).collect();
-        for add in [false, true] {
-            for (left, right) in [
-                (Some(l.as_slice()), Some(r.as_slice())),
-                (Some(l.as_slice()), None),
-                (None, Some(r.as_slice())),
-                (None, None),
-            ] {
-                let mut a = base.clone();
-                let mut b = base.clone();
-                stencil_scalar(&mut a, left, right, add);
-                stencil_halfsum(kind, &mut b, left, right, add);
-                for j in 0..n {
-                    assert_eq!(a[j].to_bits(), b[j].to_bits(), "lane {j} add={add}");
-                }
-            }
-        }
     }
 }

@@ -57,7 +57,6 @@ pub(crate) use tel;
 
 pub mod bijection;
 pub mod boundary;
-pub mod capped;
 pub mod combinatorics;
 pub mod error;
 pub mod evaluate;

@@ -46,15 +46,10 @@ pub trait Real:
     }
 
     /// View a coefficient slice as `f64` when `Self` *is* `f64` —
-    /// the gate the SIMD kernels use. `None` (the default) routes the
+    /// the gate the SIMD evaluation kernels use. `None` (the default) routes the
     /// type through the generic scalar path, which keeps `f32` grids
     /// bitwise-stable without a second set of kernels.
     fn as_f64_slice(_values: &[Self]) -> Option<&[f64]> {
-        None
-    }
-
-    /// Mutable counterpart of [`Real::as_f64_slice`].
-    fn as_f64_slice_mut(_values: &mut [Self]) -> Option<&mut [f64]> {
         None
     }
 }
@@ -97,10 +92,6 @@ impl Real for f64 {
     }
     #[inline(always)]
     fn as_f64_slice(values: &[Self]) -> Option<&[f64]> {
-        Some(values)
-    }
-    #[inline(always)]
-    fn as_f64_slice_mut(values: &mut [Self]) -> Option<&mut [f64]> {
         Some(values)
     }
 }

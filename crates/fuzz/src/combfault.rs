@@ -19,20 +19,19 @@
 //!
 //! A panic escaping the executor, a silently corrupted payload claimed
 //! intact, a `Recompute` result that differs bitwise, or a `Reweight`
-//! result outside its own bound is a **violation**, reported with a
-//! seeded reproducer.
+//! result outside its own bound is a **violation**, reported as a
+//! corpus line by the shared [`crate::campaign`] core. Each case tallies
+//! the recovery policy it drew (`recompute` / `reweight`).
 
-use crate::snapfault::FaultOutcome;
+use crate::campaign::{Campaign, CampaignReport, FaultOutcome, Tally};
+use crate::snapfault::inject_storage;
 use sg_combination::{
     CombinationExecutor, CombinationGrid, ExecutorConfig, InjectedFaults, RecoveryPolicy,
     RunOutcome,
 };
-use sg_core::error::SgError;
 use sg_core::level::GridSpec;
-use sg_io::{component_boundaries, recover_component_set, FaultSink, MemorySink, WriteFault};
+use sg_io::{component_boundaries, recover_component_set, FaultSink, MemorySink};
 use sg_prop::Rng;
-use std::panic;
-use std::time::Instant;
 
 /// The injected fault classes: the snapshot harness's eight storage
 /// classes against the component-set manifest, plus the two
@@ -66,7 +65,8 @@ pub enum CombFaultClass {
 }
 
 impl CombFaultClass {
-    /// Every class, in injection-rotation order.
+    /// Every class, in injection-rotation order (declaration order, so
+    /// `class as usize` indexes [`CAMPAIGN`]`.classes`).
     pub const ALL: [CombFaultClass; 10] = [
         CombFaultClass::TornSectionBoundary,
         CombFaultClass::TornMidSection,
@@ -80,53 +80,32 @@ impl CombFaultClass {
         CombFaultClass::DroppedPreCommit,
     ];
 
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CombFaultClass::TornSectionBoundary => "torn-section-boundary",
-            CombFaultClass::TornMidSection => "torn-mid-section",
-            CombFaultClass::BitFlip => "bit-flip",
-            CombFaultClass::Truncate => "truncate",
-            CombFaultClass::Enospc => "enospc",
-            CombFaultClass::HeaderCorrupt => "header-corrupt",
-            CombFaultClass::FooterCorrupt => "footer-corrupt",
-            CombFaultClass::LostDirent => "lost-dirent",
-            CombFaultClass::TaskPanic => "task-panic",
-            CombFaultClass::DroppedPreCommit => "dropped-pre-commit",
-        }
+    /// Stable name (report keys, CLI, corpus lines).
+    pub fn name(self) -> &'static str {
+        CAMPAIGN.classes[self as usize]
     }
 }
 
-/// Aggregate result of a combination fault-injection run.
-#[derive(Debug, Clone)]
-pub struct CombFaultReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`CombFaultClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases run under each policy, `(recompute, reweight)`.
-    pub per_policy: (u64, u64),
-    /// Cases that ended bitwise identical with nothing lost.
-    pub full_recoveries: u64,
-    /// Cases where components were lost and the policy held.
-    pub partial_recoveries: u64,
-    /// Cases that ended in a typed error.
-    pub clean_errors: u64,
-    /// Contract violations, each with a seeded reproducer. Empty on a
-    /// clean run.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
-
-impl CombFaultReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
+/// The combination campaign: `sgtool fuzz --campaign combination`.
+pub const CAMPAIGN: Campaign = Campaign {
+    name: "combination",
+    classes: &[
+        "torn-section-boundary",
+        "torn-mid-section",
+        "bit-flip",
+        "truncate",
+        "enospc",
+        "header-corrupt",
+        "footer-corrupt",
+        "lost-dirent",
+        "task-panic",
+        "dropped-pre-commit",
+    ],
+    counters: &["recompute", "reweight"],
+    shared_fixture: false,
+    run,
+    replay: |class, seed, _| run_case(CombFaultClass::ALL[class], seed, &mut CAMPAIGN.tally()),
+};
 
 /// Seeded executor + function for one case: a small random shape, a
 /// smooth seeded function, and a policy drawn from the seed.
@@ -250,12 +229,16 @@ fn check_recovery(
     }
 }
 
-/// Run one seeded combination fault-injection case. Exposed so failures
-/// can be replayed individually (`sgtool fuzz --combination-faults 1`
-/// with `SG_PROP_SEED`).
-pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String> {
+/// Run one seeded combination fault-injection case, tallying the
+/// recovery policy it drew.
+pub fn run_case(
+    class: CombFaultClass,
+    seed: u64,
+    tally: &mut Tally,
+) -> Result<FaultOutcome, String> {
     let mut rng = Rng::new(seed);
     let (exec, f) = seeded_case(&mut rng);
+    tally.add(exec.config().policy.name(), 1);
     let components = exec
         .compute_components(&f)
         .map_err(|e| format!("fault-free compute failed: {e}"))?;
@@ -274,83 +257,8 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
     }
     let bounds =
         component_boundaries(&gold).map_err(|e| format!("gold manifest unreadable: {e}"))?;
-    let header_len = bounds[0];
-    let sections_end = bounds[bounds.len() - 2];
     let check = |bytes: &[u8]| check_recovery(&exec, &f, &components, &reference.grid, bytes);
     match class {
-        CombFaultClass::TornSectionBoundary => {
-            let cut = bounds[rng.usize_in(0..=bounds.len() - 3)];
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            match sink.into_published() {
-                Some(bytes) => check(&bytes),
-                None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
-            }
-        }
-        CombFaultClass::TornMidSection => {
-            let s = rng.usize_in(0..=bounds.len() - 3);
-            let cut = rng.usize_in(bounds[s] + 1..=bounds[s + 1] - 1);
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            match sink.into_published() {
-                Some(bytes) => check(&bytes),
-                None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
-            }
-        }
-        CombFaultClass::BitFlip => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(0..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::Truncate => {
-            let cut = rng.usize_in(0..=gold.len() - 1);
-            check(&gold[..cut])
-        }
-        CombFaultClass::Enospc => {
-            let after = rng.usize_in(0..=gold.len() - 1);
-            let mut sink = FaultSink::new(WriteFault::Enospc { after_bytes: after });
-            match exec.checkpoint(&components, &mut sink, None) {
-                Err(SgError::Io(_)) => {}
-                other => {
-                    return Err(format!(
-                        "ENOSPC at byte {after} must fail with SgError::Io, got {other:?}"
-                    ))
-                }
-            }
-            if sink.committed() {
-                return Err(format!("ENOSPC at byte {after} still published a manifest"));
-            }
-            Ok(FaultOutcome::CleanError("write failed cleanly".into()))
-        }
-        CombFaultClass::HeaderCorrupt => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(0..=header_len - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::FooterCorrupt => {
-            let mut bytes = gold.clone();
-            let pos = rng.usize_in(sections_end..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            check(&bytes)
-        }
-        CombFaultClass::LostDirent => {
-            // A newer checkpoint commits but its dirent vanishes; the
-            // reader must find the previous manifest and recover fully.
-            let mut sink = FaultSink::new(WriteFault::LostDirent);
-            exec.checkpoint(&components, &mut sink, None)
-                .map_err(|e| e.to_string())?;
-            if !sink.committed() {
-                return Err("lost-dirent commit must report success to the writer".into());
-            }
-            if sink.into_published().is_some() {
-                return Err("lost-dirent fault must publish nothing".into());
-            }
-            check(&gold)
-        }
         CombFaultClass::TaskPanic => {
             let k = rng.usize_in(0..=exec.tasks().len() - 1);
             let persistent = rng.bool();
@@ -386,72 +294,25 @@ pub fn run_case(class: CombFaultClass, seed: u64) -> Result<FaultOutcome, String
                 .map_err(|e| e.to_string())?;
             check(&sink.into_published().expect("memory sink commits"))
         }
+        // The first eight classes are the snapshot campaign's, in its
+        // order, so the index carries over.
+        storage => {
+            let write = |sink: &mut FaultSink| exec.checkpoint(&components, sink, None);
+            match inject_storage(storage as usize, &gold, &bounds, &mut rng, write, write)? {
+                Some(bytes) => check(&bytes),
+                None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
+            }
+        }
     }
 }
 
-/// Inject `cases` faults (rotating through every [`CombFaultClass`],
-/// alternating recovery policies by seed) and check the detect-or-
-/// recover contract on each. Panics inside the executor count as
-/// violations, not crashes.
-pub fn run_combination_faults(seed_base: u64, cases: u64) -> CombFaultReport {
-    let started = Instant::now();
-    let mut report = CombFaultReport {
-        cases: 0,
-        per_class: CombFaultClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        per_policy: (0, 0),
-        full_recoveries: 0,
-        partial_recoveries: 0,
-        clean_errors: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
-    };
-    crate::with_quiet_panics_global(|| {
-        for k in 0..cases {
-            let class = CombFaultClass::ALL[(k % CombFaultClass::ALL.len() as u64) as usize];
-            let seed = crate::case_seed(seed_base, k);
-            // Mirror `seeded_case`'s policy draw for the report split.
-            {
-                let mut rng = Rng::new(seed);
-                let _ = rng.usize_in(1..=4);
-                let _ = rng.usize_in(2..=5);
-                if rng.bool() {
-                    report.per_policy.1 += 1;
-                } else {
-                    report.per_policy.0 += 1;
-                }
-            }
-            let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(class, seed)))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    Err(format!("panicked: {msg}"))
-                });
-            report.cases += 1;
-            report.per_class[(k % CombFaultClass::ALL.len() as u64) as usize].1 += 1;
-            match outcome {
-                Ok(FaultOutcome::FullRecovery) => report.full_recoveries += 1,
-                Ok(FaultOutcome::PartialRecovery { .. }) => report.partial_recoveries += 1,
-                Ok(FaultOutcome::CleanError(_)) => report.clean_errors += 1,
-                Err(why) => {
-                    report.violations.push(format!(
-                        "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool \
-                         fuzz --budget-cases 0 --sched-interleavings 0 --snapshot-faults 0 \
-                         --combination-faults 1",
-                        class.name()
-                    ));
-                    if report.violations.len() >= 5 {
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report
+/// Inject `cases` faults (rotating through every [`CombFaultClass`], or
+/// pinned to one; the policy is drawn per case from its seed) and check
+/// the detect-or-recover contract on each.
+pub fn run(seed_base: u64, cases: u64, class: Option<usize>) -> CampaignReport {
+    crate::campaign::run_cases(&CAMPAIGN, seed_base, cases, class, |ci, seed, tally| {
+        run_case(CombFaultClass::ALL[ci], seed, tally)
+    })
 }
 
 #[cfg(test)]
@@ -460,7 +321,7 @@ mod tests {
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_combination_faults(0x5EED_0002, 100);
+        let report = run(0x5EED_0002, 100, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 100);
         assert_eq!(
@@ -475,21 +336,33 @@ mod tests {
         assert!(report.full_recoveries > 0, "no full recoveries seen");
         assert!(report.partial_recoveries > 0, "no partial recoveries seen");
         assert!(report.clean_errors > 0, "no clean errors seen");
-        assert!(report.per_policy.0 > 0, "recompute policy never drawn");
-        assert!(report.per_policy.1 > 0, "reweight policy never drawn");
+        let (recompute, reweight) = (
+            report.counters.get("recompute"),
+            report.counters.get("reweight"),
+        );
+        assert_eq!(recompute + reweight, 100, "every case drew a policy");
+        assert!(recompute > 0, "recompute policy never drawn");
+        assert!(reweight > 0, "reweight policy never drawn");
     }
 
     #[test]
     fn cases_are_deterministic_in_the_seed() {
-        let a = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0).unwrap();
-        let b = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0).unwrap();
+        let (mut ta, mut tb) = (CAMPAIGN.tally(), CAMPAIGN.tally());
+        let a = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0, &mut ta).unwrap();
+        let b = run_case(CombFaultClass::BitFlip, 0x0C0F_FEE0, &mut tb).unwrap();
         assert_eq!(a, b);
+        assert_eq!(ta, tb);
     }
 
     #[test]
     fn enospc_never_publishes() {
         for k in 0..10 {
-            let outcome = run_case(CombFaultClass::Enospc, crate::case_seed(11, k)).unwrap();
+            let outcome = run_case(
+                CombFaultClass::Enospc,
+                crate::case_seed(11, k),
+                &mut CAMPAIGN.tally(),
+            )
+            .unwrap();
             assert!(matches!(outcome, FaultOutcome::CleanError(_)));
         }
     }
@@ -498,8 +371,12 @@ mod tests {
     fn dropped_pre_commit_exercises_both_policies() {
         let mut partial = 0;
         for k in 0..20 {
-            let outcome =
-                run_case(CombFaultClass::DroppedPreCommit, crate::case_seed(13, k)).unwrap();
+            let outcome = run_case(
+                CombFaultClass::DroppedPreCommit,
+                crate::case_seed(13, k),
+                &mut CAMPAIGN.tally(),
+            )
+            .unwrap();
             if matches!(outcome, FaultOutcome::PartialRecovery { .. }) {
                 partial += 1;
             }

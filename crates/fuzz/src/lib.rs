@@ -18,14 +18,17 @@
 //! scheduler-dependent pieces (`sg-par`) are covered by the virtual
 //! scheduler in [`sg_par::vsched`] rather than by wall-clock stress.
 //!
-//! Entry points: [`run_fuzz`] (the engine behind `sgtool fuzz`) and
-//! [`diff::run_case`] for a single case.
+//! Entry points: [`run_fuzz`] (the engine behind `sgtool fuzz`),
+//! [`diff::run_case`] for a single case, and the fault campaigns behind
+//! `sgtool fuzz --campaign` ([`campaign`]: snapshot, combination and
+//! serve-chaos fault injection on one case loop and one report).
 
 use std::cell::Cell;
 use std::panic;
 use std::sync::Once;
 use std::time::Instant;
 
+pub mod campaign;
 pub mod combfault;
 pub mod diff;
 pub mod gen;
@@ -34,11 +37,9 @@ pub mod servechaos;
 pub mod shrink;
 pub mod snapfault;
 
-pub use combfault::{run_combination_faults, CombFaultClass, CombFaultReport};
+pub use campaign::{Campaign, CampaignReport, CorpusLine, FaultOutcome, CAMPAIGNS};
 pub use diff::{Case, Failure, Injection, Op};
-pub use servechaos::{run_serve_chaos, ChaosClass, ChaosOutcome, ChaosReport};
 pub use shrink::Shrunk;
-pub use snapfault::{run_snapshot_faults, FaultClass, FaultOutcome, SnapFaultReport};
 
 thread_local! {
     static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
@@ -78,10 +79,10 @@ pub(crate) fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Run `f` with expected panics silenced on *every* thread — used by the
-/// combination fault harness, whose injected task panics unwind inside
-/// pool workers. The blast radius is accepted: during a fault-injection
-/// run, any panic is either injected or caught and converted into a
-/// violation report.
+/// fault-campaign loop, since injected combination task panics unwind
+/// inside pool workers. The blast radius is accepted: during a
+/// fault-injection run, any panic is either injected or caught and
+/// converted into a violation report.
 pub(crate) fn with_quiet_panics_global<R>(f: impl FnOnce() -> R) -> R {
     install_quiet_hook();
     QUIET_PANICS_GLOBAL.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -159,6 +160,15 @@ pub fn case_seed(base: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
+}
+
 /// Run the differential fuzzer under the given budgets. Divergences are
 /// minimized before being reported; a panic inside an operation (other
 /// than the intentional domain rejections) is itself a divergence.
@@ -186,13 +196,8 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             diff::run_case(&case, cfg.inject)
         }))
         .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
             Err(Failure {
-                detail: format!("operation panicked: {msg}"),
+                detail: format!("operation panicked: {}", panic_message(&*payload)),
                 point: None,
                 d: 0,
                 n: 0,

@@ -5,17 +5,19 @@
 //! or hits the daemon directly with malformed byte streams, and asserts
 //! the **detect-or-recover contract**:
 //!
-//! 1. *recovered* — the client's retry/backoff machinery absorbed the
-//!    fault and the final answer is bitwise identical to direct
-//!    library evaluation, or
+//! 1. *full recovery* — the client's retry/backoff machinery absorbed
+//!    the fault and the final answer is bitwise identical to direct
+//!    library evaluation (each case tallies the retries it spent), or
 //! 2. *clean error* — the failure surfaced as a typed
 //!    [`sg_serve::ServeError`] wire code.
 //!
 //! A silently corrupted result, a daemon crash (detected by a
 //! per-case health probe, bitwise-checked against the oracle), a
 //! connection that neither answers nor closes, or a panic is a
-//! **violation**, reported with a seeded reproducer like the snapshot
-//! fault harness.
+//! **violation**, reported as a corpus line by the shared
+//! [`crate::campaign`] core. Every case of a run targets one daemon whose
+//! model is built from the run's seed base, so corpus lines carry that
+//! seed as the fixture seed.
 //!
 //! Corruption is injected into the *structural* prefix of request
 //! frames (header, name, deadline/count fields) rather than the `f64`
@@ -25,6 +27,7 @@
 //! typed, and that transport damage to responses (torn frames,
 //! disconnects, stalls) can never be mistaken for data.
 
+use crate::campaign::{Campaign, CampaignReport, FaultOutcome, Tally};
 use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
 use sg_prop::Rng;
@@ -32,7 +35,6 @@ use sg_serve::protocol::parse_error;
 use sg_serve::{Client, Engine, Fleet, RetryPolicy, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,7 +73,8 @@ pub enum ChaosClass {
 }
 
 impl ChaosClass {
-    /// Every class, in injection-rotation order.
+    /// Every class, in injection-rotation order (declaration order, so
+    /// `class as usize` indexes [`CAMPAIGN`]`.classes`).
     pub const ALL: [ChaosClass; 9] = [
         ChaosClass::TornFrame,
         ChaosClass::MidResponseDisconnect,
@@ -84,19 +87,9 @@ impl ChaosClass {
         ChaosClass::OversizedFrame,
     ];
 
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChaosClass::TornFrame => "torn-frame",
-            ChaosClass::MidResponseDisconnect => "mid-response-disconnect",
-            ChaosClass::Stall => "stall",
-            ChaosClass::CorruptByte => "corrupt-byte",
-            ChaosClass::ConnectRefused => "connect-refused",
-            ChaosClass::DelayedBytes => "delayed-bytes",
-            ChaosClass::RandomBytes => "random-bytes",
-            ChaosClass::TruncatedFrame => "truncated-frame",
-            ChaosClass::OversizedFrame => "oversized-frame",
-        }
+    /// Stable name (report keys, CLI, corpus lines).
+    pub fn name(self) -> &'static str {
+        CAMPAIGN.classes[self as usize]
     }
 
     /// Classes where the client's retry budget must fully absorb the
@@ -114,46 +107,25 @@ impl ChaosClass {
     }
 }
 
-/// How one chaos case resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosOutcome {
-    /// The final answer matched direct evaluation bitwise.
-    Recovered {
-        /// Requests re-sent by the client to get there.
-        retries: u64,
-    },
-    /// The failure surfaced as this typed wire code.
-    CleanError(String),
-}
-
-/// Aggregate result of a chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`ChaosClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases absorbed by retry/backoff with bitwise-correct answers.
-    pub recoveries: u64,
-    /// Cases that surfaced as typed errors.
-    pub clean_errors: u64,
-    /// Total client-side retries spent across the run.
-    pub retries: u64,
-    /// Contract violations (silent corruption, crash, hang, panic,
-    /// unrecovered must-recover class), each with a seeded reproducer.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
-
-impl ChaosReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
+/// The serve-chaos campaign: `sgtool fuzz --campaign serve-chaos`.
+pub const CAMPAIGN: Campaign = Campaign {
+    name: "serve-chaos",
+    classes: &[
+        "torn-frame",
+        "mid-response-disconnect",
+        "stall",
+        "corrupt-byte",
+        "connect-refused",
+        "delayed-bytes",
+        "random-bytes",
+        "truncated-frame",
+        "oversized-frame",
+    ],
+    counters: &["retries"],
+    shared_fixture: true,
+    run,
+    replay,
+};
 
 /// The live serving stack every case runs against: one daemon on
 /// loopback with tight timeouts and one model, plus the grid itself as
@@ -516,14 +488,14 @@ fn classify_reply(buf: &[u8]) -> Option<Reaction> {
     }
 }
 
-/// Run one seeded chaos case against the fixture. Exposed so failures
-/// can be replayed individually (`sgtool fuzz --serve-chaos 1` with
-/// `SG_PROP_SEED`).
+/// Run one seeded chaos case against the fixture, tallying the client
+/// retries it took.
 pub fn run_case(
     fixture: &ChaosFixture,
     class: ChaosClass,
     seed: u64,
-) -> Result<ChaosOutcome, String> {
+    tally: &mut Tally,
+) -> Result<FaultOutcome, String> {
     let mut rng = Rng::new(seed);
     let npoints = rng.usize_in(1..=6);
     let xs: Vec<f64> = (0..npoints * fixture.dim)
@@ -589,17 +561,16 @@ pub fn run_case(
                             npoints
                         ));
                     }
-                    ChaosOutcome::Recovered {
-                        retries: client.retry_stats().retries,
-                    }
+                    tally.add("retries", client.retry_stats().retries);
+                    FaultOutcome::FullRecovery
                 }
-                Err(e) => ChaosOutcome::CleanError(e.code().to_string()),
+                Err(e) => FaultOutcome::CleanError(e.code().to_string()),
             }
         }
     };
 
     if class.must_recover() {
-        if let ChaosOutcome::CleanError(code) = &outcome {
+        if let FaultOutcome::CleanError(code) = &outcome {
             return Err(format!(
                 "class must recover via retry but surfaced typed {code:?}"
             ));
@@ -612,11 +583,11 @@ pub fn run_case(
 
 /// Byte-stream case: the daemon must answer typed or close, never hang,
 /// and never crash.
-fn raw_outcome(fixture: &ChaosFixture, bytes: &[u8]) -> Result<ChaosOutcome, String> {
+fn raw_outcome(fixture: &ChaosFixture, bytes: &[u8]) -> Result<FaultOutcome, String> {
     match malformed_stream_reaction(fixture.addr, bytes)? {
-        Reaction::ErrorFrame(code) => Ok(ChaosOutcome::CleanError(code)),
-        Reaction::Disconnect => Ok(ChaosOutcome::CleanError("disconnect".into())),
-        Reaction::Served => Ok(ChaosOutcome::Recovered { retries: 0 }),
+        Reaction::ErrorFrame(code) => Ok(FaultOutcome::CleanError(code)),
+        Reaction::Disconnect => Ok(FaultOutcome::CleanError("disconnect".into())),
+        Reaction::Served => Ok(FaultOutcome::FullRecovery),
         Reaction::Hang => Err(format!(
             "daemon neither answered nor closed a malformed stream within {}ms",
             REACTION_LIMIT.as_millis()
@@ -640,71 +611,42 @@ fn encode_raw_eval_frame(model: &str, xs: &[f64], npoints: usize) -> Vec<u8> {
     frame
 }
 
-/// Inject `cases` chaos faults (rotating through every [`ChaosClass`])
-/// against one live daemon and check the detect-or-recover contract on
-/// each. Ends with a graceful-drain check. Panics count as violations,
-/// not crashes.
-pub fn run_serve_chaos(seed_base: u64, cases: u64) -> ChaosReport {
-    let started = Instant::now();
-    let mut report = ChaosReport {
-        cases: 0,
-        per_class: ChaosClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        recoveries: 0,
-        clean_errors: 0,
-        retries: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
-    };
+/// Inject `cases` chaos faults (rotating through every [`ChaosClass`],
+/// or pinned to one) against one live daemon built from `seed_base` and
+/// check the detect-or-recover contract on each. Ends with a
+/// graceful-drain check.
+pub fn run(seed_base: u64, cases: u64, class: Option<usize>) -> CampaignReport {
     let fixture = match ChaosFixture::start(seed_base) {
         Ok(f) => f,
         Err(why) => {
+            let mut report = CampaignReport::empty(&CAMPAIGN, seed_base);
             report
                 .violations
                 .push(format!("fixture start failed: {why}"));
-            report.elapsed_secs = started.elapsed().as_secs_f64();
             return report;
         }
     };
-    for k in 0..cases {
-        let ci = (k % ChaosClass::ALL.len() as u64) as usize;
-        let class = ChaosClass::ALL[ci];
-        let seed = crate::case_seed(seed_base, k);
-        let outcome =
-            panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(&fixture, class, seed)))
-                .unwrap_or_else(|payload| {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    Err(format!("panicked: {msg}"))
-                });
-        report.cases += 1;
-        report.per_class[ci].1 += 1;
-        match outcome {
-            Ok(ChaosOutcome::Recovered { retries }) => {
-                report.recoveries += 1;
-                report.retries += retries;
-            }
-            Ok(ChaosOutcome::CleanError(_)) => report.clean_errors += 1,
-            Err(why) => {
-                report.violations.push(format!(
-                    "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool fuzz \
-                     --budget-cases 0 --sched-interleavings 0 --serve-chaos 1",
-                    class.name()
-                ));
-                if report.violations.len() >= 5 {
-                    break;
-                }
-            }
-        }
-    }
+    let mut report =
+        crate::campaign::run_cases(&CAMPAIGN, seed_base, cases, class, |ci, seed, tally| {
+            run_case(&fixture, ChaosClass::ALL[ci], seed, tally)
+        });
     if let Err(why) = fixture.finish() {
         report.violations.push(format!("drain: {why}"));
     }
-    report.elapsed_secs = started.elapsed().as_secs_f64();
     report
+}
+
+/// Replay one case against a fresh daemon built from the fixture seed.
+fn replay(class: usize, seed: u64, fixture: Option<u64>) -> Result<FaultOutcome, String> {
+    let fixture = fixture.ok_or("a serve-chaos replay needs the fixture seed")?;
+    let fixture = ChaosFixture::start(fixture)?;
+    let outcome = run_case(
+        &fixture,
+        ChaosClass::ALL[class],
+        seed,
+        &mut CAMPAIGN.tally(),
+    );
+    fixture.finish().and(outcome)
 }
 
 #[cfg(test)]
@@ -713,25 +655,31 @@ mod tests {
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_serve_chaos(0xC4A0_5001, 27);
+        let report = run(0xC4A0_5001, 27, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 27);
-        assert_eq!(report.recoveries + report.clean_errors, 27);
+        assert_eq!(report.partial_recoveries, 0);
+        assert_eq!(report.full_recoveries + report.clean_errors, 27);
         for (name, count) in &report.per_class {
             assert_eq!(*count, 3, "class {name} ran {count} times");
         }
         // The run must exercise both contract arms and actually retry.
-        assert!(report.recoveries > 0, "no recoveries seen");
+        assert!(report.full_recoveries > 0, "no recoveries seen");
         assert!(report.clean_errors > 0, "no clean errors seen");
-        assert!(report.retries > 0, "the retry machinery never engaged");
+        assert!(
+            report.counters.get("retries") > 0,
+            "the retry machinery never engaged"
+        );
     }
 
     #[test]
     fn cases_are_deterministic_in_the_seed() {
         let fixture = ChaosFixture::start(0xC4A0_5002).unwrap();
-        let a = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED).unwrap();
-        let b = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED).unwrap();
+        let (mut ta, mut tb) = (CAMPAIGN.tally(), CAMPAIGN.tally());
+        let a = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED, &mut ta).unwrap();
+        let b = run_case(&fixture, ChaosClass::CorruptByte, 0xFEED, &mut tb).unwrap();
         assert_eq!(a, b);
+        assert_eq!(ta, tb);
         fixture.finish().unwrap();
     }
 }

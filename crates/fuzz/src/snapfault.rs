@@ -15,18 +15,17 @@
 //!    that destroy the snapshot's identity.
 //!
 //! A panic, a silently corrupted coefficient, or an intact-claimed
-//! section that differs from the original is a **violation** and is
-//! reported with a seeded reproducer, same as the differential fuzzer's
-//! divergences.
+//! section that differs from the original is a **violation**, reported
+//! as a corpus line by the shared [`crate::campaign`] core.
 
+use crate::campaign::{Campaign, CampaignReport, FaultOutcome};
+use sg_core::error::SgError;
 use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
 use sg_io::{
     recover_snapshot, section_boundaries, write_snapshot, FaultSink, MemorySink, WriteFault,
 };
 use sg_prop::Rng;
-use std::panic;
-use std::time::Instant;
 
 /// The injected fault classes, covering both the write path (sink
 /// faults) and storage corruption of published bytes.
@@ -56,7 +55,8 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Every class, in injection-rotation order.
+    /// Every class, in injection-rotation order (declaration order, so
+    /// `class as usize` indexes [`CAMPAIGN`]`.classes`).
     pub const ALL: [FaultClass; 8] = [
         FaultClass::TornSectionBoundary,
         FaultClass::TornMidSection,
@@ -68,63 +68,30 @@ impl FaultClass {
         FaultClass::LostDirent,
     ];
 
-    /// Stable name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FaultClass::TornSectionBoundary => "torn-section-boundary",
-            FaultClass::TornMidSection => "torn-mid-section",
-            FaultClass::BitFlip => "bit-flip",
-            FaultClass::Truncate => "truncate",
-            FaultClass::Enospc => "enospc",
-            FaultClass::HeaderCorrupt => "header-corrupt",
-            FaultClass::FooterCorrupt => "footer-corrupt",
-            FaultClass::LostDirent => "lost-dirent",
-        }
+    /// Stable name (report keys, CLI, corpus lines).
+    pub fn name(self) -> &'static str {
+        CAMPAIGN.classes[self as usize]
     }
 }
 
-/// How one injected fault resolved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// Bitwise-identical grid recovered.
-    FullRecovery,
-    /// Some level groups lost; they were enumerated and repaired.
-    PartialRecovery {
-        /// The groups the recovery reported as lost.
-        lost_groups: Vec<usize>,
-    },
-    /// The fault destroyed the snapshot (or the write): a typed error.
-    CleanError(String),
-}
-
-/// Aggregate result of a fault-injection run.
-#[derive(Debug, Clone)]
-pub struct SnapFaultReport {
-    /// Faults injected.
-    pub cases: u64,
-    /// Per-class injection counts, in [`FaultClass::ALL`] order.
-    pub per_class: Vec<(&'static str, u64)>,
-    /// Cases that ended in full recovery.
-    pub full_recoveries: u64,
-    /// Cases that ended in enumerated-and-repaired partial recovery.
-    pub partial_recoveries: u64,
-    /// Cases that ended in a typed error.
-    pub clean_errors: u64,
-    /// Contract violations (panic, silent corruption, unrepairable
-    /// loss), each with a seeded reproducer line. Empty on a clean run.
-    pub violations: Vec<String>,
-    /// Wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Seed base used (provenance / replay).
-    pub seed_base: u64,
-}
-
-impl SnapFaultReport {
-    /// True when every fault resolved inside the contract.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
+/// The snapshot campaign: `sgtool fuzz --campaign snapshot`.
+pub const CAMPAIGN: Campaign = Campaign {
+    name: "snapshot",
+    classes: &[
+        "torn-section-boundary",
+        "torn-mid-section",
+        "bit-flip",
+        "truncate",
+        "enospc",
+        "header-corrupt",
+        "footer-corrupt",
+        "lost-dirent",
+    ],
+    counters: &[],
+    shared_fixture: false,
+    run,
+    replay: |class, seed, _| run_case(FaultClass::ALL[class], seed),
+};
 
 /// Seeded grid for case `seed`: a random small shape and a smooth
 /// seeded function. Returns the hierarchized grid and a closure that
@@ -149,48 +116,47 @@ fn seeded_grid(rng: &mut Rng) -> (CompactGrid<f64>, impl Fn(&[f64]) -> f64 + Clo
     (grid, f)
 }
 
-/// Inject the case's fault and return the bytes a reader would observe,
-/// or `None` when the fault correctly prevented publication (ENOSPC).
-/// Panics bubble to the harness's `catch_unwind`.
-fn inject(
-    class: FaultClass,
-    grid: &CompactGrid<f64>,
+/// Inject storage fault `class` (an index into [`FaultClass::ALL`]) into
+/// the checkpoint whose published bytes are `gold` and return the bytes
+/// a reader would observe, or `None` when the fault correctly prevented
+/// publication. `bounds` are the byte offsets of the header end, every
+/// section end and the footer end; `write` re-runs the checkpoint into
+/// a faulty sink, and `write_newer` writes a newer checkpoint for the
+/// lost-dirent class. The combination campaign applies the same classes
+/// to its component-set manifest.
+pub(crate) fn inject_storage(
+    class: usize,
     gold: &[u8],
+    bounds: &[usize],
     rng: &mut Rng,
+    write: impl Fn(&mut FaultSink) -> Result<(), SgError>,
+    write_newer: impl Fn(&mut FaultSink) -> Result<(), SgError>,
 ) -> Result<Option<Vec<u8>>, String> {
-    let bounds = section_boundaries(gold).map_err(|e| format!("gold bytes unreadable: {e}"))?;
-    let header_len = bounds[0];
-    let sections_end = bounds[bounds.len() - 2];
-    match class {
-        FaultClass::TornSectionBoundary => {
-            // Tear at one of: end of header, end of each section.
-            let cut = bounds[rng.usize_in(0..=bounds.len() - 3)];
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            write_snapshot(grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
-            Ok(sink.into_published())
-        }
+    let flip = |lo: usize, hi: usize, rng: &mut Rng| {
+        let mut bytes = gold.to_vec();
+        let pos = rng.usize_in(lo..=hi);
+        bytes[pos] ^= 1 << rng.u8_in(0..=7);
+        Some(bytes)
+    };
+    let torn = |cut: usize| {
+        let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
+        write(&mut sink).map_err(|e| e.to_string())?;
+        Ok(sink.into_published())
+    };
+    match FaultClass::ALL[class] {
+        // Tear at one of: end of header, end of each section.
+        FaultClass::TornSectionBoundary => torn(bounds[rng.usize_in(0..=bounds.len() - 3)]),
         FaultClass::TornMidSection => {
             let s = rng.usize_in(0..=bounds.len() - 3);
-            let cut = rng.usize_in(bounds[s] + 1..=bounds[s + 1] - 1);
-            let mut sink = FaultSink::new(WriteFault::Torn { after_bytes: cut });
-            write_snapshot(grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
-            Ok(sink.into_published())
+            torn(rng.usize_in(bounds[s] + 1..=bounds[s + 1] - 1))
         }
-        FaultClass::BitFlip => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(0..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
-        FaultClass::Truncate => {
-            let cut = rng.usize_in(0..=gold.len() - 1);
-            Ok(Some(gold[..cut].to_vec()))
-        }
+        FaultClass::BitFlip => Ok(flip(0, gold.len() - 1, rng)),
+        FaultClass::Truncate => Ok(Some(gold[..rng.usize_in(0..=gold.len() - 1)].to_vec())),
         FaultClass::Enospc => {
             let after = rng.usize_in(0..=gold.len() - 1);
             let mut sink = FaultSink::new(WriteFault::Enospc { after_bytes: after });
-            match write_snapshot(grid, &mut sink, "snapfault-gold") {
-                Err(sg_core::error::SgError::Io(_)) => {}
+            match write(&mut sink) {
+                Err(SgError::Io(_)) => {}
                 other => {
                     return Err(format!(
                         "ENOSPC at byte {after} must fail with SgError::Io, got {other:?}"
@@ -198,34 +164,18 @@ fn inject(
                 }
             }
             if sink.committed() {
-                return Err(format!("ENOSPC at byte {after} still published a snapshot"));
+                return Err(format!("ENOSPC at byte {after} still published"));
             }
             Ok(None)
         }
-        FaultClass::HeaderCorrupt => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(0..=header_len - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
-        FaultClass::FooterCorrupt => {
-            let mut bytes = gold.to_vec();
-            let pos = rng.usize_in(sections_end..=bytes.len() - 1);
-            bytes[pos] ^= 1 << rng.u8_in(0..=7);
-            Ok(Some(bytes))
-        }
+        FaultClass::HeaderCorrupt => Ok(flip(0, bounds[0] - 1, rng)),
+        FaultClass::FooterCorrupt => Ok(flip(bounds[bounds.len() - 2], gold.len() - 1, rng)),
         FaultClass::LostDirent => {
-            // A fresh checkpoint of a *modified* grid commits, but its
-            // dirent is lost: the write must report success yet publish
-            // nothing, and the reader must fall back to the previous
-            // snapshot (`gold`), which recovers fully.
-            let mut newer = grid.clone();
-            for v in newer.values_mut() {
-                *v += 1.0;
-            }
+            // A newer checkpoint commits, but its dirent is lost: the
+            // write must report success yet publish nothing, and the
+            // reader must fall back to the previous one (`gold`).
             let mut sink = FaultSink::new(WriteFault::LostDirent);
-            write_snapshot(&newer, &mut sink, "snapfault-lost-dirent")
-                .map_err(|e| e.to_string())?;
+            write_newer(&mut sink).map_err(|e| e.to_string())?;
             if !sink.committed() {
                 return Err("lost-dirent commit must report success to the writer".into());
             }
@@ -281,68 +231,42 @@ fn check_recovery(
     Ok(FaultOutcome::PartialRecovery { lost_groups: lost })
 }
 
-/// Run one seeded fault-injection case. Exposed so failures can be
-/// replayed individually (`sgtool fuzz --snapshot-faults 1` with
-/// `SG_PROP_SEED`).
+/// Run one seeded fault-injection case.
 pub fn run_case(class: FaultClass, seed: u64) -> Result<FaultOutcome, String> {
     let mut rng = Rng::new(seed);
     let (grid, f) = seeded_grid(&mut rng);
     let mut sink = MemorySink::new();
     write_snapshot(&grid, &mut sink, "snapfault-gold").map_err(|e| e.to_string())?;
     let gold = sink.into_published().expect("memory sink commits");
-    match inject(class, &grid, &gold, &mut rng)? {
+    let bounds = section_boundaries(&gold).map_err(|e| format!("gold bytes unreadable: {e}"))?;
+    let published = inject_storage(
+        class as usize,
+        &gold,
+        &bounds,
+        &mut rng,
+        |sink| write_snapshot(&grid, sink, "snapfault-gold"),
+        // A *modified* grid, so falling back to `gold` is observable as
+        // a full recovery of the original.
+        |sink| {
+            let mut newer = grid.clone();
+            for v in newer.values_mut() {
+                *v += 1.0;
+            }
+            write_snapshot(&newer, sink, "snapfault-lost-dirent")
+        },
+    )?;
+    match published {
         None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
         Some(bytes) => check_recovery(&grid, &f, &bytes),
     }
 }
 
-/// Inject `cases` faults (rotating through every [`FaultClass`]) and
-/// check the detect-or-recover contract on each. Panics inside the
-/// snapshot stack count as violations, not crashes.
-pub fn run_snapshot_faults(seed_base: u64, cases: u64) -> SnapFaultReport {
-    let started = Instant::now();
-    let mut report = SnapFaultReport {
-        cases: 0,
-        per_class: FaultClass::ALL.iter().map(|c| (c.name(), 0)).collect(),
-        full_recoveries: 0,
-        partial_recoveries: 0,
-        clean_errors: 0,
-        violations: Vec::new(),
-        elapsed_secs: 0.0,
-        seed_base,
-    };
-    for k in 0..cases {
-        let class = FaultClass::ALL[(k % FaultClass::ALL.len() as u64) as usize];
-        let seed = crate::case_seed(seed_base, k);
-        let outcome = panic::catch_unwind(panic::AssertUnwindSafe(|| run_case(class, seed)))
-            .unwrap_or_else(|payload| {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                Err(format!("panicked: {msg}"))
-            });
-        report.cases += 1;
-        report.per_class[(k % FaultClass::ALL.len() as u64) as usize].1 += 1;
-        match outcome {
-            Ok(FaultOutcome::FullRecovery) => report.full_recoveries += 1,
-            Ok(FaultOutcome::PartialRecovery { .. }) => report.partial_recoveries += 1,
-            Ok(FaultOutcome::CleanError(_)) => report.clean_errors += 1,
-            Err(why) => {
-                report.violations.push(format!(
-                    "fault={} seed={seed:#x}: {why}\nreplay: SG_PROP_SEED={seed:#x} sgtool fuzz \
-                     --budget-cases 0 --sched-interleavings 0 --snapshot-faults 1",
-                    class.name()
-                ));
-                if report.violations.len() >= 5 {
-                    break;
-                }
-            }
-        }
-    }
-    report.elapsed_secs = started.elapsed().as_secs_f64();
-    report
+/// Inject `cases` faults (rotating through every [`FaultClass`], or
+/// pinned to one) and check the detect-or-recover contract on each.
+pub fn run(seed_base: u64, cases: u64, class: Option<usize>) -> CampaignReport {
+    crate::campaign::run_cases(&CAMPAIGN, seed_base, cases, class, |ci, seed, _| {
+        run_case(FaultClass::ALL[ci], seed)
+    })
 }
 
 #[cfg(test)]
@@ -351,7 +275,7 @@ mod tests {
 
     #[test]
     fn every_class_resolves_inside_the_contract() {
-        let report = run_snapshot_faults(0x5EED_0001, 80);
+        let report = run(0x5EED_0001, 80, None);
         assert!(report.clean(), "{:#?}", report.violations);
         assert_eq!(report.cases, 80);
         assert_eq!(

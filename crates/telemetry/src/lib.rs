@@ -80,6 +80,21 @@ fn registry() -> &'static Registry {
     })
 }
 
+/// Push `item` onto its registry list the first time `flag` is seen
+/// unset. The plain load keeps every later call to one shared read; only
+/// the first callers pay the read-modify-write, and the swap still
+/// admits exactly one of them to the lock.
+#[inline]
+fn register_once<T>(
+    flag: &AtomicBool,
+    item: &'static T,
+    list: fn(&'static Registry) -> &'static Mutex<Vec<&'static T>>,
+) {
+    if !flag.load(Ordering::Relaxed) && !flag.swap(true, Ordering::Relaxed) {
+        list(registry()).lock().unwrap().push(item);
+    }
+}
+
 /// A monotonically increasing event or traffic counter.
 ///
 /// Declare as a `static` and bump with [`Counter::add`]:
@@ -112,9 +127,7 @@ impl Counter {
     #[inline]
     pub fn add(&'static self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().counters.lock().unwrap().push(self);
-        }
+        register_once(&self.registered, self, |r| &r.counters);
     }
 
     /// Current value.
@@ -180,9 +193,7 @@ impl Span {
     pub fn record(&'static self, ns: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.nanos.fetch_add(ns, Ordering::Relaxed);
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().spans.lock().unwrap().push(self);
-        }
+        register_once(&self.registered, self, |r| &r.spans);
     }
 
     /// Number of recorded intervals.
@@ -286,9 +297,7 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().hists.lock().unwrap().push(self);
-        }
+        register_once(&self.registered, self, |r| &r.hists);
     }
 
     /// Time one execution of `f`, recording elapsed nanoseconds.

@@ -643,86 +643,101 @@ fn checkpoint_restore_verify_flow() {
     std::fs::remove_file(&restored).ok();
 }
 
-#[test]
-fn fuzz_snapshot_faults_writes_schema_complete_report() {
-    let json = temp_path("snapfault.json");
-    let j = json.to_str().unwrap();
+/// Run `sgtool fuzz --campaign <spec> --faults <n>` (no differential or
+/// schedule pass) and return its `campaigns` JSON section.
+fn fuzz_campaign(spec: &str, faults: &str, file: &str) -> (String, sg_json::Value) {
+    let json = temp_path(file);
     let o = sgtool(&[
         "fuzz",
         "--budget-cases",
         "0",
         "--sched-interleavings",
         "0",
-        "--snapshot-faults",
-        "21",
+        "--campaign",
+        spec,
+        "--faults",
+        faults,
         "--json",
-        j,
+        json.to_str().unwrap(),
     ]);
     assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("snapshot-faults: 21 injected"));
-
     let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let sf = doc.get("snapshot_faults").expect("snapshot_faults section");
-    assert_eq!(sf.get("cases").and_then(|v| v.as_f64()), Some(21.0));
-    let full = sf.get("full_recoveries").and_then(|v| v.as_f64()).unwrap();
-    let partial = sf
-        .get("partial_recoveries")
-        .and_then(|v| v.as_f64())
-        .unwrap();
-    let clean = sf.get("clean_errors").and_then(|v| v.as_f64()).unwrap();
-    assert_eq!(full + partial + clean, 21.0, "every fault accounted for");
-    let violations = sf.get("violations").and_then(|v| v.as_array()).unwrap();
-    assert!(violations.is_empty(), "{violations:?}");
-    let per_class = sf.get("per_class").and_then(|v| v.as_object()).unwrap();
-    assert_eq!(per_class.len(), 8, "all eight fault classes injected");
-
     std::fs::remove_file(&json).ok();
+    let campaigns = doc.get("campaigns").expect("campaigns section").clone();
+    (stdout(&o), campaigns)
+}
+
+/// The shared field set every campaign section carries; returns
+/// `(full, partial, clean)` after checking they account for `cases` and
+/// that there were no violations.
+fn check_campaign_section(c: &sg_json::Value, cases: f64, classes: usize) -> [f64; 3] {
+    let num = |k: &str| {
+        c.get(k)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("{k}"))
+    };
+    assert_eq!(num("cases"), cases);
+    assert!(num("elapsed_secs") >= 0.0);
+    assert!(c.get("seed_base").and_then(|v| v.as_str()).is_some());
+    let arms = [
+        num("full_recoveries"),
+        num("partial_recoveries"),
+        num("clean_errors"),
+    ];
+    assert_eq!(arms.iter().sum::<f64>(), cases, "every fault accounted for");
+    let violations = c.get("violations").and_then(|v| v.as_array()).unwrap();
+    assert!(violations.is_empty(), "{violations:?}");
+    let per_class = c.get("per_class").and_then(|v| v.as_object()).unwrap();
+    assert_eq!(per_class.len(), classes);
+    let injected: f64 = per_class.iter().map(|(_, v)| v.as_f64().unwrap()).sum();
+    assert_eq!(injected, cases);
+    assert!(c.get("counters").and_then(|v| v.as_object()).is_some());
+    arms
+}
+
+#[test]
+fn fuzz_snapshot_faults_writes_schema_complete_report() {
+    let (out, campaigns) = fuzz_campaign("snapshot", "21", "snapfault.json");
+    assert!(out.contains("snapshot: 21 injected"), "{out}");
+    let sf = campaigns.get("snapshot").expect("snapshot section");
+    check_campaign_section(sf, 21.0, 8);
+
+    // A class filter pins every case to that class.
+    let (_, campaigns) = fuzz_campaign("snapshot:bit-flip", "3", "snapfault-class.json");
+    let per_class = campaigns.get("snapshot").unwrap().get("per_class").unwrap();
+    assert_eq!(
+        per_class.get("bit-flip").and_then(|v| v.as_f64()),
+        Some(3.0)
+    );
+    assert_eq!(
+        per_class.get("truncate").and_then(|v| v.as_f64()),
+        Some(0.0)
+    );
+
+    // Campaign selection errors are usage errors.
+    let fuzz = |extra: &[&str]| {
+        let mut args = vec!["fuzz", "--budget-cases", "0", "--sched-interleavings", "0"];
+        args.extend_from_slice(extra);
+        exit_code(&sgtool(&args))
+    };
+    assert_eq!(fuzz(&["--campaign", "nope", "--faults", "1"]), 2);
+    assert_eq!(fuzz(&["--campaign", "snapshot:nope", "--faults", "1"]), 2);
+    assert_eq!(fuzz(&["--campaign", "snapshot"]), 2);
+    assert_eq!(fuzz(&["--faults", "1"]), 2);
 }
 
 #[test]
 fn fuzz_combination_faults_writes_schema_complete_report() {
-    let json = temp_path("combfault.json");
-    let j = json.to_str().unwrap();
-    let o = sgtool(&[
-        "fuzz",
-        "--budget-cases",
-        "0",
-        "--sched-interleavings",
-        "0",
-        "--combination-faults",
-        "30",
-        "--json",
-        j,
-    ]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("combination-faults: 30 injected"));
-
-    let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let cf = doc
-        .get("combination_faults")
-        .expect("combination_faults section");
-    assert_eq!(cf.get("cases").and_then(|v| v.as_f64()), Some(30.0));
-    let full = cf.get("full_recoveries").and_then(|v| v.as_f64()).unwrap();
-    let partial = cf
-        .get("partial_recoveries")
-        .and_then(|v| v.as_f64())
-        .unwrap();
-    let clean = cf.get("clean_errors").and_then(|v| v.as_f64()).unwrap();
-    assert_eq!(full + partial + clean, 30.0, "every fault accounted for");
-    let recompute = cf.get("recompute_cases").and_then(|v| v.as_f64()).unwrap();
-    let reweight = cf.get("reweight_cases").and_then(|v| v.as_f64()).unwrap();
+    let (out, campaigns) = fuzz_campaign("combination", "30", "combfault.json");
+    assert!(out.contains("combination: 30 injected"), "{out}");
+    let cf = campaigns.get("combination").expect("combination section");
+    // 8 storage classes + task-panic + dropped-pre-commit.
+    check_campaign_section(cf, 30.0, 10);
+    let counters = cf.get("counters").unwrap();
+    let recompute = counters.get("recompute").and_then(|v| v.as_f64()).unwrap();
+    let reweight = counters.get("reweight").and_then(|v| v.as_f64()).unwrap();
     assert_eq!(recompute + reweight, 30.0, "every case has a policy");
     assert!(recompute > 0.0 && reweight > 0.0, "both policies exercised");
-    let violations = cf.get("violations").and_then(|v| v.as_array()).unwrap();
-    assert!(violations.is_empty(), "{violations:?}");
-    let per_class = cf.get("per_class").and_then(|v| v.as_object()).unwrap();
-    assert_eq!(
-        per_class.len(),
-        10,
-        "8 storage classes + task-panic + dropped-pre-commit"
-    );
-
-    std::fs::remove_file(&json).ok();
 }
 
 #[test]
@@ -779,31 +794,6 @@ fn combine_run_cross_validates_and_verify_reads_the_manifest() {
         assert_eq!(exit_code(&o), 0, "{}", stderr(&o));
         assert!(stdout(&o).contains("components intact"), "{}", stdout(&o));
     }
-
-    // Injected faults under the default policy mix stay violation-free.
-    let o = sgtool(&[
-        "combine",
-        "run",
-        "--dims",
-        "2",
-        "--level",
-        "3",
-        "--faults",
-        "20",
-        "--seed-base",
-        "0xC0FFEE",
-        "--json",
-        j,
-    ]);
-    assert_eq!(exit_code(&o), 0, "{}", stderr(&o));
-    assert!(stdout(&o).contains("faults: 20 injected"), "{}", stdout(&o));
-    let doc = sg_json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    let faults = doc.get("faults").expect("faults section");
-    assert_eq!(faults.get("cases").and_then(|v| v.as_f64()), Some(20.0));
-    assert_eq!(
-        faults.get("seed_base").and_then(|v| v.as_str()),
-        Some("0xc0ffee")
-    );
 
     // A damaged manifest is corrupt data (3) with the lost components
     // named; a missing one is an I/O failure (4); bad flags are usage

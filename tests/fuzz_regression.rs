@@ -5,9 +5,11 @@
 //! once exposed a real divergence (kept forever as a regression guard)
 //! or a pinned clean canary. The corpus format is the same `op`/`seed`
 //! vocabulary the fuzzer's reproducer lines print, so promoting a new
-//! finding into the corpus is a one-line paste.
+//! finding into the corpus is a one-line paste. The fault-campaign
+//! corpus (`tests/corpus/campaign_seeds.txt`) works the same way with
+//! the lines `sgtool fuzz --campaign` prints.
 
-use sg_fuzz::{diff, Case, Injection, Op};
+use sg_fuzz::{diff, Case, CorpusLine, Injection, Op};
 
 fn corpus() -> Vec<(Op, u64)> {
     let path = concat!(
@@ -55,5 +57,38 @@ fn every_corpus_seed_passes_the_differential_executor() {
                 failure.detail
             );
         }
+    }
+}
+
+/// Replay the fault-campaign canary corpus
+/// (`tests/corpus/campaign_seeds.txt`): every line must stay inside the
+/// detect-or-recover contract, and every campaign keeps its canaries.
+#[test]
+fn every_campaign_corpus_line_replays_clean() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/campaign_seeds.txt"
+    );
+    let text = std::fs::read_to_string(path).expect("corpus file readable");
+    let mut replayed = std::collections::BTreeMap::<&str, usize>::new();
+    for (lineno, raw) in text.lines().enumerate() {
+        let line =
+            CorpusLine::parse(raw).unwrap_or_else(|e| panic!("corpus line {}: {e}", lineno + 1));
+        let Some(line) = line else { continue };
+        if let Err(why) = line.replay() {
+            panic!(
+                "corpus line {} ({line}) violated the contract: {why}",
+                lineno + 1
+            );
+        }
+        *replayed.entry(line.campaign.name).or_default() += 1;
+    }
+    for campaign in sg_fuzz::CAMPAIGNS {
+        let n = replayed.get(campaign.name).copied().unwrap_or(0);
+        assert!(
+            n >= campaign.classes.len(),
+            "{} corpus shrank to {n} lines",
+            campaign.name
+        );
     }
 }

@@ -92,6 +92,8 @@ fn evaluation_matrix_is_bitwise_identical_across_kernels_and_threads() {
     sg_par::set_num_threads(1);
 }
 
+/// Hierarchization has one scalar sweep for every kernel selection;
+/// neither the selection nor the pool width may change a bit of it.
 #[test]
 fn hierarchization_matrix_is_bitwise_identical_across_kernels_and_threads() {
     let _lock = threads_lock();
