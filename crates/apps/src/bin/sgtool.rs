@@ -91,8 +91,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let rest = &args[1..];
-    let result = match cmd.as_str() {
+    let result = check_flags(cmd, rest).and_then(|()| match cmd.as_str() {
         "compress" => cmd_compress(rest),
         "checkpoint" => cmd_checkpoint(rest),
         "restore" => cmd_restore(rest),
@@ -108,14 +112,10 @@ fn main() -> ExitCode {
         "divergence" => cmd_divergence(rest),
         "combine" => cmd_combine(rest),
         "fuzz" => cmd_fuzz(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
         other => Err(CliError::usage(format!(
             "unknown command: {other}\n{USAGE}"
         ))),
-    };
+    });
     let result = result.and_then(|()| {
         let Some(path) = metrics_path else {
             return Ok(());
@@ -252,6 +252,97 @@ environment:
   SG_GATE_BASELINE      when set, `sgtool gate` reports regressions but
                         exits 0 — acknowledge an intentional perf change
                         while the trajectory re-baselines";
+
+/// Flags each command accepts besides the global `--metrics-json`, or
+/// `None` when `cmd` is not a command.
+fn known_flags(cmd: &str, args: &[String]) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "compress" => &["--dims", "--level", "--function", "--out"],
+        "checkpoint" => &["--dims", "--level", "--function", "--out", "--provenance"],
+        "restore" => &["--out", "--function"],
+        "verify" | "info" | "eval" | "integrate" => &[],
+        "slice" => &["--axes", "--at", "--width"],
+        "render" => &["--axes", "--at", "--width", "--out"],
+        "profile" => &[
+            "--from",
+            "--dims",
+            "--level",
+            "--function",
+            "--reps",
+            "--points",
+            "--top",
+            "--out",
+        ],
+        "flight" => &[
+            "--dims",
+            "--level",
+            "--function",
+            "--reps",
+            "--points",
+            "--interval-ms",
+            "--out",
+        ],
+        "gate" => &[
+            "--results",
+            "--window",
+            "--min-runs",
+            "--k",
+            "--rel-floor",
+            "--json",
+        ],
+        "divergence" => &[
+            "--dims",
+            "--level",
+            "--function",
+            "--points",
+            "--machine",
+            "--top",
+            "--out",
+        ],
+        "combine" if args.first().is_some_and(|a| a == "run") => &[
+            "--dims",
+            "--level",
+            "--function",
+            "--policy",
+            "--spare-diagonals",
+            "--queries",
+            "--out",
+            "--json",
+            "--bench",
+        ],
+        "combine" => &[],
+        "fuzz" => &[
+            "--budget-cases",
+            "--budget-secs",
+            "--seed-base",
+            "--op",
+            "--shape",
+            "--sched-interleavings",
+            "--campaign",
+            "--faults",
+            "--inject",
+            "--json",
+        ],
+        _ => return None,
+    })
+}
+
+/// Reject a `--flag` the command does not know, so a typo or a retired
+/// flag fails loudly instead of being silently ignored.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let Some(known) = known_flags(cmd, args) else {
+        return Ok(());
+    };
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--metrics-json" && !known.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(CliError::usage(format!(
+            "unknown flag {unknown} for `sgtool {cmd}` (see `sgtool --help`)"
+        ))),
+        None => Ok(()),
+    }
+}
 
 fn flag(args: &[String], key: &str) -> Option<String> {
     args.iter()

@@ -122,14 +122,14 @@ impl Model {
     ) -> Result<Model, ServeError> {
         let bytes = std::fs::read(path)
             .map_err(|e| ServeError::Model(format!("reading {}: {e}", path.display())))?;
-        let (info, _, _) = sg_io::verify_snapshot(&bytes)
-            .map_err(|e| ServeError::Model(format!("verifying {}: {e}", path.display())))?;
-        let grid = sg_io::read_snapshot::<f64>(&bytes)
-            .map_err(|e| ServeError::Model(format!("decoding {}: {e}", path.display())))?;
+        let invalid = |e| ServeError::Model(format!("loading {}: {e}", path.display()));
+        // One checksum pass: recovery verifies every section as it decodes.
+        let recovery = sg_io::recover_snapshot::<f64>(&bytes).map_err(invalid)?;
+        let grid = recovery.grid.into_complete().map_err(invalid)?;
         Ok(Model::from_parts(
             name,
             grid,
-            info.provenance,
+            recovery.info.provenance,
             generation,
             path.to_owned(),
             None,

@@ -17,7 +17,7 @@
 //!
 //! The server is a three-state machine: **accepting** → **draining** →
 //! **stopped**. A `shutdown` control command or [`Server::begin_drain`]
-//! moves to draining: listeners stop accepting, idle connections close,
+//! moves to draining: new connections are closed unserved, idle ones close,
 //! new submissions fail typed `shutting_down`, but every job already
 //! accepted into the queue is executed and its response flushed before
 //! the process exits — bounded by the drain deadline, after which the
@@ -41,7 +41,7 @@ use crate::protocol::{
 };
 use sg_core::functions::TestFunction;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -80,7 +80,7 @@ struct Control {
 pub struct Server {
     engine: Arc<Engine>,
     ctl: Arc<Control>,
-    accepters: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    accepters: Mutex<Vec<(std::thread::JoinHandle<()>, Wake)>>,
     repairer: Mutex<Option<std::thread::JoinHandle<()>>>,
     tcp_addr: Option<SocketAddr>,
     #[cfg(unix)]
@@ -106,9 +106,9 @@ impl Server {
         let mut tcp_addr = None;
         if let Some(addr) = tcp {
             let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
-            accepters.push(spawn_accepter(
+            let bound = listener.local_addr()?;
+            tcp_addr = Some(bound);
+            let handle = spawn_accepter(
                 "sgd-accept-tcp",
                 listener,
                 Arc::clone(&engine),
@@ -120,7 +120,8 @@ impl Server {
                     s.set_write_timeout(Some(TICK)).ok();
                     s
                 },
-            )?);
+            )?;
+            accepters.push((handle, Wake::Tcp(bound)));
         }
         #[cfg(unix)]
         let mut unix_path = None;
@@ -128,9 +129,8 @@ impl Server {
         if let Some(path) = unix {
             std::fs::remove_file(path).ok();
             let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
             unix_path = Some(path.to_path_buf());
-            accepters.push(spawn_accepter(
+            let handle = spawn_accepter(
                 "sgd-accept-unix",
                 listener,
                 Arc::clone(&engine),
@@ -141,7 +141,8 @@ impl Server {
                     s.set_write_timeout(Some(TICK)).ok();
                     s
                 },
-            )?);
+            )?;
+            accepters.push((handle, Wake::Unix(path.to_path_buf())));
         }
         #[cfg(not(unix))]
         if unix.is_some() {
@@ -233,17 +234,22 @@ impl Server {
         self.engine.shutdown();
     }
 
-    /// Common tail of `drain`/`shutdown`: mark stopped, join the accept
-    /// and repair threads, unlink the Unix socket.
+    /// Common tail of `drain`/`shutdown`: mark stopped, wake and join
+    /// the accept loops, join the repair thread, unlink the Unix socket.
     fn finish(&self) {
         self.ctl.state.store(STOPPED, Ordering::SeqCst);
-        for h in self
+        for (h, wake) in self
             .accepters
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
         {
-            let _ = h.join();
+            // A loop that cannot be woken (its socket path was unlinked
+            // by someone else) would block the join forever; it is left
+            // parked in `accept` unless it has already returned.
+            if wake.connect() || h.is_finished() {
+                let _ = h.join();
+            }
         }
         if let Some(h) = self
             .repairer
@@ -266,8 +272,38 @@ impl Drop for Server {
     }
 }
 
-/// Spawn one nonblocking accept loop; each accepted stream gets a
-/// detached connection thread.
+/// How [`Server::finish`] unblocks an accept loop parked in a blocking
+/// `accept`: one throwaway connection to the listener's own address.
+enum Wake {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
+impl Wake {
+    /// Connect once and hang up; `true` when the listener answered.
+    fn connect(&self) -> bool {
+        match self {
+            Wake::Tcp(bound) => {
+                let mut addr = *bound;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match bound {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
+            }
+            #[cfg(unix)]
+            Wake::Unix(path) => UnixStream::connect(path).is_ok(),
+        }
+    }
+}
+
+/// Spawn one blocking accept loop; each accepted stream gets a detached
+/// connection thread. A stream accepted once the server has left the
+/// accepting state (a late client, or the [`Wake`] connection) is
+/// dropped unserved and ends the loop.
 fn spawn_accepter<L, S>(
     name: &str,
     listener: L,
@@ -282,25 +318,26 @@ where
 {
     std::thread::Builder::new()
         .name(name.into())
-        .spawn(move || {
-            while ctl.state.load(Ordering::SeqCst) == ACCEPTING {
-                match accept(&listener) {
-                    Ok(stream) => {
-                        let stream = tune(stream);
-                        let engine = Arc::clone(&engine);
-                        let ctl = Arc::clone(&ctl);
-                        let spawned = std::thread::Builder::new()
-                            .name("sgd-conn".into())
-                            .spawn(move || handle_connection(stream, &engine, &ctl));
-                        if spawned.is_err() {
-                            // Out of threads: shed the connection.
-                        }
+        .spawn(move || loop {
+            let accepted = accept(&listener);
+            if ctl.state.load(Ordering::SeqCst) != ACCEPTING {
+                return;
+            }
+            match accepted {
+                Ok(stream) => {
+                    let stream = tune(stream);
+                    let engine = Arc::clone(&engine);
+                    let ctl = Arc::clone(&ctl);
+                    let spawned = std::thread::Builder::new()
+                        .name("sgd-conn".into())
+                        .spawn(move || handle_connection(stream, &engine, &ctl));
+                    if spawned.is_err() {
+                        // Out of threads: shed the connection.
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
                 }
+                // Transient accept failure (e.g. out of descriptors):
+                // back off instead of spinning.
+                Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         })
 }

@@ -218,9 +218,12 @@ fn flags_before_the_file_and_one_dimensional_eval() {
     assert!(o.status.success(), "{}", stderr(&o));
 
     // Flag value before the positional file must not be mistaken for it.
-    let o = sgtool(&["eval", "--unused-flag", "value", f, "0.5"]);
+    let metrics = temp_path("flags-metrics.json");
+    let m = metrics.to_str().unwrap();
+    let o = sgtool(&["eval", "--metrics-json", m, f, "0.5"]);
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).contains("= 1.0000000000"), "{}", stdout(&o));
+    std::fs::remove_file(&metrics).ok();
 
     // 1-d grids take bare-number points (no comma).
     let o = sgtool(&["eval", f, "0.25"]);
@@ -498,6 +501,37 @@ fn help_prints_usage() {
 
 fn exit_code(o: &Output) -> i32 {
     o.status.code().expect("sgtool terminated by signal")
+}
+
+/// A flag the subcommand does not know is a usage error naming the flag,
+/// not silently ignored: a typo or a retired flag must not run with
+/// defaults.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let out = temp_path("bogus-flag.sgc");
+    let o = sgtool(&[
+        "compress",
+        "--dims",
+        "2",
+        "--level",
+        "2",
+        "--bogus",
+        "3",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert_eq!(exit_code(&o), 2, "{}", stderr(&o));
+    assert!(stderr(&o).contains("--bogus"), "{}", stderr(&o));
+    assert!(!out.exists(), "the command ran despite the unknown flag");
+
+    // A flag removed in favour of `--campaign snapshot --faults N`.
+    let o = sgtool(&["fuzz", "--snapshot-faults", "600"]);
+    assert_eq!(exit_code(&o), 2, "{}", stderr(&o));
+    assert!(stderr(&o).contains("--snapshot-faults"), "{}", stderr(&o));
+
+    // Flags of one subcommand are not accepted by another.
+    let o = sgtool(&["combine", "verify", "x.sgcm", "--policy", "reweight"]);
+    assert_eq!(exit_code(&o), 2, "{}", stderr(&o));
 }
 
 #[test]

@@ -184,3 +184,63 @@ fn paper_scale_grid_is_exactly_sized() {
         sparse_grid_points(10, 11)
     );
 }
+
+/// FNV-1a (64-bit) over a byte buffer: a format fingerprint computed
+/// independently of sg-io, so a change to the encoders or to the CRC-64
+/// they embed fails here even when encode and decode still agree.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// The SGC2 bytes of a fixed grid are pinned: same length, same
+/// fingerprint. Every section CRC is inside the fingerprint, so a
+/// checksum implementation that disagrees with CRC-64/XZ on any byte
+/// breaks this test, and snapshots already on disk would stop reading.
+#[test]
+fn sgc2_snapshot_bytes_are_pinned() {
+    use sg_core::functions::TestFunction;
+    use sg_core::grid::CompactGrid;
+    let grid = CompactGrid::<f64>::from_fn(GridSpec::new(3, 4), |x| TestFunction::Gaussian.eval(x));
+    let bytes = sg_io::encode_snapshot(&grid, "golden");
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (1088, 0xBCC0_6896_1EE1_E07B));
+}
+
+/// The SGCM bytes of a fixed component set (one component tombstoned,
+/// so the complemented tombstone CRC is covered too) are pinned.
+#[test]
+fn sgcm_manifest_bytes_are_pinned() {
+    use sg_io::{write_component_set, ComponentMeta, MemorySink};
+    let levels: [([u8; 2], i64); 5] = [
+        ([2, 0], 1),
+        ([1, 1], 1),
+        ([0, 2], 1),
+        ([1, 0], -1),
+        ([0, 1], -1),
+    ];
+    let set: Vec<(ComponentMeta, Vec<f64>)> = levels
+        .iter()
+        .map(|&(l, coefficient)| {
+            let n = ((1usize << (l[0] + 1)) - 1) * ((1usize << (l[1] + 1)) - 1);
+            let values: Vec<f64> = (0..n)
+                .map(|k| (k as f64 + 0.5) * coefficient as f64)
+                .collect();
+            let meta = ComponentMeta {
+                coefficient,
+                levels: l.to_vec(),
+                max_abs: values.iter().fold(0.0f64, |a, v| a.max(v.abs())),
+            };
+            (meta, values)
+        })
+        .collect();
+    let entries: Vec<(ComponentMeta, Option<&[f64]>)> = set
+        .iter()
+        .enumerate()
+        .map(|(k, (m, v))| (m.clone(), (k != 1).then_some(v.as_slice())))
+        .collect();
+    let mut sink = MemorySink::new();
+    write_component_set(2, &entries, &mut sink, "golden").unwrap();
+    let bytes = sink.into_published().unwrap();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (620, 0x593A_50CB_81A0_DDB7));
+}

@@ -59,6 +59,30 @@ fn assert_server_healthy(addr: &str) {
     assert_eq!(ys.len(), 1);
 }
 
+/// A new connection is served as soon as it arrives: the accept loop
+/// blocks in `accept` instead of polling, so connect plus the first
+/// ping costs a loopback round trip, not a poll interval.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll_delay() {
+    let (server, addr, path) = start_server("fresh-conn");
+    let mut times: Vec<std::time::Duration> = (0..20)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut client = Client::connect_tcp(&addr).unwrap();
+            client.ping().unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median connect + first ping took {median:?} (all: {times:?})"
+    );
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn oversized_length_prefix_is_a_typed_fatal_error() {
     let (server, addr, path) = start_server("oversized");
