@@ -6,7 +6,7 @@
 //! tables.
 
 use crate::bijection::GridIndexer;
-use crate::iter::for_each_point;
+use crate::iter::{for_each_point, PointCursor};
 use crate::level::{coordinate, GridSpec, Index, Level};
 use crate::real::Real;
 
@@ -94,16 +94,16 @@ impl<T: Real> CompactGrid<T> {
             "core.grid.sample",
             None,
             |ci, chunk| {
-                let mut l = vec![0 as Level; d];
-                let mut i = vec![0 as Index; d];
+                // One `idx2gp` per chunk; every later point is a step.
+                let mut p = PointCursor::at(&indexer, (ci * CHUNK) as u64);
                 let mut coords = vec![0.0f64; d];
-                let base = ci * CHUNK;
-                for (k, v) in chunk.iter_mut().enumerate() {
-                    indexer.idx2gp((base + k) as u64, &mut l, &mut i);
+                for v in chunk.iter_mut() {
+                    let (l, i) = (p.level(), p.index());
                     for t in 0..d {
                         coords[t] = coordinate(l[t], i[t]);
                     }
                     *v = f(&coords);
+                    p.advance();
                 }
             },
         );

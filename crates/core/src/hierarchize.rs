@@ -19,7 +19,9 @@
 //! boundary cases, and those ancestors occupy contiguous storage — so
 //! each run is one vertical stencil `v[j] −= (L[j]+R[j])/2` over
 //! contiguous slices — an element-wise loop the compiler vectorizes on
-//! its own — with two `gp2idx` calls per run instead of two per point.
+//! its own. A run's parent slots come from a per-subspace table of
+//! ancestor-subspace offsets and shifts of its rank bits, so the sweeps
+//! make no `gp2idx` call at all.
 //!
 //! With the `telemetry` feature, every level-group sweep is timed into the
 //! spans `core.hierarchize.group_<n>` (n = level sum of the group) and the

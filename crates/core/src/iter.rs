@@ -6,6 +6,7 @@
 //! function; [`LevelIter`] and [`for_each_level`] wrap it, and
 //! [`for_each_point`] walks an entire grid in `gp2idx` order.
 
+use crate::bijection::GridIndexer;
 use crate::level::{GridSpec, Index, Level};
 
 /// Write the first level vector of the enumeration, `(n, 0, …, 0)`
@@ -140,21 +141,84 @@ pub fn encode_subspace_rank(l: &[Level], i: &[Index]) -> u64 {
     index1
 }
 
+/// A position in `gp2idx` order that steps to the next grid point without
+/// the bijection. Within a subspace the rank counts up as an odometer over
+/// `i` (last dimension fastest, as `index1` packs it); a finished subspace
+/// moves on with [`next_level`], a finished level group with
+/// [`first_level`] of the next level sum.
+pub(crate) struct PointCursor {
+    levels: usize,
+    n: usize,
+    l: Vec<Level>,
+    i: Vec<Index>,
+}
+
+impl PointCursor {
+    /// The cursor at linear index 0.
+    pub(crate) fn start(spec: &GridSpec) -> Self {
+        Self {
+            levels: spec.levels(),
+            n: 0,
+            l: vec![0; spec.dim()],
+            i: vec![1; spec.dim()],
+        }
+    }
+
+    /// The cursor at linear index `idx`: one `idx2gp` call.
+    pub(crate) fn at(indexer: &GridIndexer, idx: u64) -> Self {
+        let mut p = Self::start(indexer.spec());
+        indexer.idx2gp(idx, &mut p.l, &mut p.i);
+        p.n = p.l.iter().map(|&v| v as usize).sum();
+        p
+    }
+
+    /// Level vector of the current point.
+    #[inline(always)]
+    pub(crate) fn level(&self) -> &[Level] {
+        &self.l
+    }
+
+    /// Index vector of the current point.
+    #[inline(always)]
+    pub(crate) fn index(&self) -> &[Index] {
+        &self.i
+    }
+
+    /// Step to the next point in `gp2idx` order. Returns `false` when the
+    /// current point was the grid's last; the cursor is spent then.
+    #[inline]
+    pub(crate) fn advance(&mut self) -> bool {
+        for t in (0..self.l.len()).rev() {
+            if self.i[t] + 2 < 2 << self.l[t] {
+                self.i[t] += 2;
+                return true;
+            }
+            self.i[t] = 1;
+        }
+        if next_level(&mut self.l) {
+            return true;
+        }
+        if self.n + 1 < self.levels {
+            self.n += 1;
+            first_level(self.n, &mut self.l);
+            return true;
+        }
+        false
+    }
+}
+
 /// Visit every grid point of `spec` in `gp2idx` order (group `n`
 /// ascending, subspaces in enumeration order, points in `index1` order).
 /// The callback receives `(linear_index, l, i)`.
 pub fn for_each_point(spec: &GridSpec, mut f: impl FnMut(u64, &[Level], &[Index])) {
-    let d = spec.dim();
-    let mut i = vec![0 as Index; d];
+    let mut p = PointCursor::start(spec);
     let mut idx = 0u64;
-    for n in 0..spec.levels() {
-        for_each_level(d, n, |l| {
-            for rank in 0..(1u64 << n) {
-                decode_subspace_rank(l, rank, &mut i);
-                f(idx, l, &i);
-                idx += 1;
-            }
-        });
+    loop {
+        f(idx, p.level(), p.index());
+        idx += 1;
+        if !p.advance() {
+            break;
+        }
     }
 }
 
@@ -268,6 +332,21 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, spec.num_points());
+    }
+
+    #[test]
+    fn cursor_steps_agree_with_idx2gp_at_every_index() {
+        for (d, levels) in [(1, 6), (2, 5), (3, 4), (5, 3)] {
+            let ix = GridIndexer::new(GridSpec::new(d, levels));
+            let last = ix.num_points() - 1;
+            for idx in 0..last {
+                let mut p = PointCursor::at(&ix, idx);
+                assert!(p.advance(), "d={d} idx={idx}");
+                let q = PointCursor::at(&ix, idx + 1);
+                assert_eq!((p.level(), p.index()), (q.level(), q.index()));
+            }
+            assert!(!PointCursor::at(&ix, last).advance(), "d={d} past the end");
+        }
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   parent levels and the same boundary cases, and their parents
 //!   occupy **consecutive** storage slots (the trailing bits of the
 //!   child rank carry over unchanged to the parent rank). Each run is
-//!   therefore one vertical stencil over contiguous slices, found with
-//!   two `gp2idx` calls — per run, not per point.
+//!   therefore one vertical stencil over contiguous slices. Its parent
+//!   slots come from a per-subspace table of ancestor-subspace offsets,
+//!   one entry per parent level `pl < l_t`, plus shifts of the run's
+//!   leading rank bits: no `gp2idx` per run or per point.
 
 use crate::bijection::GridIndexer;
-use crate::iter::{decode_subspace_rank, first_level, next_level};
+use crate::iter::{first_level, next_level};
 use crate::level::{hierarchical_parent, GridSpec, Index, Level, Side};
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
@@ -123,6 +125,14 @@ pub(crate) struct PoleRun {
 ///
 /// Requires `l[t] != 0` (subspaces with `l[t] = 0` have both ancestors
 /// on the boundary and are skipped by the sweeps).
+///
+/// Run `lead` covers ranks `lead << trail ..`, where `trail = Σ_{u>t} l_u`.
+/// Its high bits `A = lead >> l_t` rank the leading dimensions and its low
+/// `l_t` bits give `i_t`. A parent `(pl, pi)` lives in the subspace `l`
+/// with `l_t = pl`, at rank `((A << pl) | (pi−1)/2) << trail`: the
+/// leading and trailing bits carry over, and only dimension `t`'s field
+/// changes width. The offsets of those `l_t` ancestor subspaces are
+/// computed once per call.
 pub(crate) fn for_each_pole_run(
     indexer: &GridIndexer,
     l: &[Level],
@@ -130,34 +140,32 @@ pub(crate) fn for_each_pole_run(
     mut f: impl FnMut(PoleRun),
 ) {
     debug_assert!(l[t] != 0);
-    let d = l.len();
+    let lt = l[t];
     let trail: u32 = l[t + 1..].iter().map(|&v| v as u32).sum();
     let n: u32 = l.iter().map(|&v| v as u32).sum();
-    let stride = 1usize << trail;
-    let lead_count = 1u64 << (n - trail);
-    let mut i = vec![0 as Index; d];
-    let mut l2 = l.to_vec();
-    for lead in 0..lead_count {
-        let rank0 = lead << trail;
-        // At the run start every trailing bit is zero, so i_u = 1 for
-        // all u > t; the leading dims (and i_t) come from `lead`.
-        decode_subspace_rank(l, rank0, &mut i);
-        let (lt, it) = (l[t], i[t]);
-        let mut bases = [None, None];
-        for (b, side) in bases.iter_mut().zip([Side::Left, Side::Right]) {
-            if let Some((pl, pi)) = hierarchical_parent(lt, it, side) {
-                l2[t] = pl;
-                i[t] = pi;
-                *b = Some(indexer.gp2idx(&l2, &i) as usize);
-                l2[t] = lt;
-                i[t] = it;
-            }
-        }
+    // `base[pl]`: storage offset of subspace `l` with `l_t = pl`. A
+    // `GridSpec` caps level sums at 30, so `pl < l_t ≤ 30`.
+    let mut base = [0usize; 31];
+    let mut lp = l.to_vec();
+    for pl in 0..lt {
+        lp[t] = pl;
+        let np = (n - lt as u32 + pl as u32) as usize;
+        base[pl as usize] =
+            (indexer.group_offset(np) + (indexer.subspace_rank(&lp) << np)) as usize;
+    }
+    let parent_slot = |lead: u64, side: Side| {
+        let it = 2 * (lead & ((1u64 << lt) - 1)) as Index + 1;
+        hierarchical_parent(lt, it, side).map(|(pl, pi)| {
+            let rank = (((lead >> lt) << pl) | ((pi as u64 - 1) >> 1)) << trail;
+            base[pl as usize] + rank as usize
+        })
+    };
+    for lead in 0..1u64 << (n - trail) {
         f(PoleRun {
-            rank0: rank0 as usize,
-            len: stride,
-            left: bases[0],
-            right: bases[1],
+            rank0: (lead << trail) as usize,
+            len: 1usize << trail,
+            left: parent_slot(lead, Side::Left),
+            right: parent_slot(lead, Side::Right),
         });
     }
 }
@@ -165,7 +173,7 @@ pub(crate) fn for_each_pole_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::{encode_subspace_rank, for_each_level};
+    use crate::iter::{decode_subspace_rank, encode_subspace_rank, for_each_level};
 
     #[test]
     fn plan_matches_the_live_walk() {
@@ -207,7 +215,14 @@ mod tests {
 
     #[test]
     fn pole_runs_cover_each_subspace_and_parents_are_contiguous() {
-        let spec = GridSpec::new(3, 5);
+        // Level sums up to 6 in every d ∈ 1..=6: `t = d−1` (no trailing
+        // bits), `l_t` up to 6, and parents down to level 0.
+        for d in 1..=6 {
+            check_pole_runs_against_gp2idx(GridSpec::new(d, 7));
+        }
+    }
+
+    fn check_pole_runs_against_gp2idx(spec: GridSpec) {
         let indexer = GridIndexer::new(spec);
         for n in 0..spec.levels() {
             for_each_level(spec.dim(), n, |l| {

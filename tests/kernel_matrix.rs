@@ -142,6 +142,36 @@ fn hierarchization_matrix_is_bitwise_identical_across_kernels_and_threads() {
     sg_par::set_num_threads(1);
 }
 
+/// `from_fn_parallel` seeds each 1024-point chunk with one `idx2gp` and
+/// steps from there, so it must reproduce the sequential walk bit for bit
+/// where chunk seams fall mid-subspace and mid-group, and where one
+/// subspace spans many chunks (d=1: the finest subspace covers four).
+#[test]
+fn parallel_sampler_matches_sequential_across_chunk_seams_and_threads() {
+    let _lock = threads_lock();
+    let f = |x: &[f64]| {
+        x.iter()
+            .enumerate()
+            .map(|(t, &v)| (t as f64 + 1.0) * (3.0 * v).sin())
+            .sum::<f64>()
+    };
+    let widen = |g: &CompactGrid<f32>| g.values().iter().map(|&v| v as f64).collect::<Vec<_>>();
+    for threads in [1usize, 8] {
+        sg_par::set_num_threads(threads);
+        for (d, levels) in [(1, 13), (2, 11), (3, 9), (5, 7)] {
+            let spec = GridSpec::new(d, levels);
+            let what = format!("sampler d={d} L={levels} threads={threads}");
+            let seq = CompactGrid::from_fn(spec, f);
+            let par = CompactGrid::from_fn_parallel(spec, f);
+            assert_bitwise(par.values(), seq.values(), &format!("{what} f64"));
+            let seq = CompactGrid::from_fn(spec, |x| f(x) as f32);
+            let par = CompactGrid::from_fn_parallel(spec, |x| f(x) as f32);
+            assert_bitwise(&widen(&par), &widen(&seq), &format!("{what} f32"));
+        }
+    }
+    sg_par::set_num_threads(1);
+}
+
 #[test]
 fn empty_batch_and_single_subspace_edges() {
     let simd = detect();
