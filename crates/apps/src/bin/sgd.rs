@@ -56,9 +56,6 @@ ENVIRONMENT:
     SGD_QUEUE_DEPTH       admission queue depth (default 256)
     SGD_BATCH_MAX_POINTS  max points per coalesced batch and per request
                           (default 16384)
-    SGD_BLOCK             evaluator cache block, lane-aligned (default 64)
-    SGD_PAR_MIN_POINTS    batches this large run on the sg-par pool
-                          (default 2048)
     SGD_MAX_FRAME         max frame payload bytes (default 16777216)
     SGD_MAX_MODELS        fleet capacity (default 64)
     SGD_IO_TIMEOUT_MS     per-connection read/write stall limit, both

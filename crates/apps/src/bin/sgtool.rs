@@ -10,6 +10,7 @@
 //! ```
 
 use sg_baselines::StoreKind;
+use sg_core::evaluate::BLOCK;
 use sg_core::prelude::*;
 use sg_core::quadrature::integrate;
 use std::process::ExitCode;
@@ -879,7 +880,7 @@ fn decompress_slice(
             pixels.extend_from_slice(&x);
         }
     }
-    let values = evaluate_batch_parallel(&grid, &pixels, 64);
+    let values = evaluate_batch_parallel(&grid, &pixels, BLOCK);
     let (lo, hi) = values
         .iter()
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| {
@@ -970,7 +971,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
     let mut grid = CompactGrid::from_fn_parallel(spec, |x| f.eval(x));
     for _ in 0..reps {
         hierarchize_parallel(&mut grid);
-        let _values = evaluate_batch_parallel(&grid, &xs, 64);
+        let _values = evaluate_batch_parallel(&grid, &xs, BLOCK);
         dehierarchize_parallel(&mut grid);
     }
     hierarchize_parallel(&mut grid);
@@ -1173,7 +1174,7 @@ fn cmd_flight(args: &[String]) -> Result<(), CliError> {
     let mut grid = CompactGrid::from_fn_parallel(spec, |x| f.eval(x));
     for _ in 0..reps {
         hierarchize_parallel(&mut grid);
-        let _values = evaluate_batch_parallel(&grid, &xs, 64);
+        let _values = evaluate_batch_parallel(&grid, &xs, BLOCK);
         dehierarchize_parallel(&mut grid);
     }
     let wall = t_all.elapsed();
@@ -1312,13 +1313,17 @@ fn cmd_divergence(args: &[String]) -> Result<(), CliError> {
     };
 
     // Measured half: a fresh registry window around serial hierarchize +
-    // blocked evaluate, so the per-group spans hold exactly this run
-    // (serial keeps wall time and attributed time the same thing).
+    // blocked evaluate at pool width 1, so the per-group spans hold
+    // exactly this run (serial keeps wall time and attributed time the
+    // same thing).
     sg_telemetry::reset();
     let mut grid = CompactGrid::from_fn_parallel(spec, |x| f.eval(x));
     let xs = halton_points(d, n_points);
     hierarchize(&mut grid);
-    let _values = evaluate_batch_blocked(&grid, &xs, 64);
+    let width = sg_par::num_threads();
+    sg_par::set_num_threads(1);
+    let _values = evaluate_batch_parallel(&grid, &xs, BLOCK);
+    sg_par::set_num_threads(width);
     let report = sg_telemetry::snapshot();
     let measured = |phase: &str, n: usize| -> u64 {
         report

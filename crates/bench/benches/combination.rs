@@ -5,7 +5,7 @@
 use sg_adaptive::AdaptiveSparseGrid;
 use sg_bench::harness::Harness;
 use sg_combination::CombinationGrid;
-use sg_core::evaluate::evaluate_batch_blocked;
+use sg_core::evaluate::{evaluate_batch_parallel, BLOCK};
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::hierarchize;
@@ -14,6 +14,10 @@ use std::hint::black_box;
 
 fn main() {
     let mut h = Harness::from_args("combination");
+    // The evaluation rows compare serial evaluators, so the direct rows
+    // run the batch evaluator at pool width 1; construction keeps the pool.
+    let width = sg_par::num_threads();
+    sg_par::set_num_threads(1);
 
     {
         let mut group = h.group("combination_vs_direct_eval");
@@ -27,7 +31,7 @@ fn main() {
             let comb = CombinationGrid::<f64>::from_fn(spec, |x| f.eval(x));
             let xs = halton_points(d, 1000);
             group.bench(&format!("direct/{d}"), || {
-                black_box(evaluate_batch_blocked(&direct, &xs, 64))
+                black_box(evaluate_batch_parallel(&direct, &xs, BLOCK))
             });
             group.bench(&format!("combination/{d}"), || {
                 let mut acc = 0.0;
@@ -38,6 +42,8 @@ fn main() {
             });
         }
     }
+
+    sg_par::set_num_threads(width);
 
     {
         // Construction: sampling+hierarchization (direct) vs sampling all
@@ -57,6 +63,7 @@ fn main() {
         });
     }
 
+    sg_par::set_num_threads(1);
     {
         let mut group = h.group("adaptive_vs_regular_eval");
         group.sample_size(10);
@@ -76,7 +83,7 @@ fn main() {
             acc
         });
         group.bench("regular_compact", || {
-            black_box(evaluate_batch_blocked(&regular, &xs, 64))
+            black_box(evaluate_batch_parallel(&regular, &xs, BLOCK))
         });
     }
 

@@ -15,6 +15,7 @@
 
 use sg_baselines::StoreKind;
 use sg_bench::{fmt_secs, report, Args, Table};
+use sg_core::evaluate::BLOCK;
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
 use sg_core::kernel::{detect, with_kernel, KernelKind, KernelSelect};
@@ -110,18 +111,24 @@ fn main() {
         );
 
         // --- Real host measurements (reference columns): one hierarchize,
-        // then evaluation once per kernel with dispatch pinned — the
-        // scalar/SIMD pair records the measured lane-width gain on this
-        // hardware next to the machine models.
+        // then evaluation once per kernel with dispatch pinned, both
+        // serial (pool width 1) — the scalar/SIMD pair records the
+        // measured lane-width gain on this hardware next to the machine
+        // models.
         let mut g = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
         let t_host_hier = sg_bench::time_once(|| sg_core::hierarchize::hierarchize(&mut g));
+        let width = sg_par::num_threads();
+        sg_par::set_num_threads(1);
         let [t_host_eval_scalar, t_host_eval] = [KernelKind::Scalar, simd].map(|kind| {
             with_kernel(KernelSelect::Force(kind), || {
                 sg_bench::time_once(|| {
-                    std::hint::black_box(sg_core::evaluate::evaluate_batch_blocked(&g, &xs, 64));
+                    std::hint::black_box(sg_core::evaluate::evaluate_batch_parallel(
+                        &g, &xs, BLOCK,
+                    ));
                 })
             })
         });
+        sg_par::set_num_threads(width);
         let simd_eval_speedup = t_host_eval_scalar / t_host_eval.max(f64::MIN_POSITIVE);
 
         // --- GPU simulation (f32 coefficients, as the paper's kernels).

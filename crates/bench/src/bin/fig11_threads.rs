@@ -15,6 +15,7 @@
 
 use sg_bench::trajectory::MetricStats;
 use sg_bench::{report, Args, Table};
+use sg_core::evaluate::BLOCK;
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::hierarchize_parallel;
@@ -62,7 +63,7 @@ fn main() {
             hier_samples.push(sg_bench::time_once(|| hierarchize_parallel(&mut grid)));
             let mut out = Vec::new();
             eval_samples.push(sg_bench::time_once(|| {
-                out = sg_core::evaluate::evaluate_batch_parallel(&grid, &xs, 64);
+                out = sg_core::evaluate::evaluate_batch_parallel(&grid, &xs, BLOCK);
             }));
             hier_bits = grid.values().iter().map(|v| v.to_bits()).collect();
             eval_bits = out.iter().map(|v| v.to_bits()).collect();

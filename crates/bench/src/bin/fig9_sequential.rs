@@ -12,6 +12,7 @@
 
 use sg_baselines::StoreKind;
 use sg_bench::{fmt_secs, report, time_median, AnyStore, Args, Table};
+use sg_core::evaluate::BLOCK;
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
 use sg_core::kernel::{detect, with_kernel, KernelKind, KernelSelect};
@@ -126,21 +127,25 @@ fn main() {
         eval.add_row(eval_cells);
 
         // Scalar-vs-SIMD evaluation kernel ablation on the compact
-        // structure: the same traversal with dispatch pinned, so the
-        // delta is the lane width and nothing else (results are bitwise
-        // identical — the kernel_matrix suite holds that invariant).
-        // Hierarchization has one scalar sweep, so it has no ablation.
+        // structure: the same serial (pool width 1) traversal with
+        // dispatch pinned, so the delta is the lane width and nothing
+        // else (results are bitwise identical — the kernel_matrix suite
+        // holds that invariant). Hierarchization has one scalar sweep,
+        // so it has no ablation.
         let mut surplus = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
         sg_core::hierarchize::hierarchize(&mut surplus);
+        let width = sg_par::num_threads();
+        sg_par::set_num_threads(1);
         let [es, ev] = [KernelKind::Scalar, simd].map(|kind| {
             with_kernel(KernelSelect::Force(kind), || {
                 time_median(repeats.max(3), || {
-                    std::hint::black_box(sg_core::evaluate::evaluate_batch_blocked(
-                        &surplus, &xs, 64,
+                    std::hint::black_box(sg_core::evaluate::evaluate_batch_parallel(
+                        &surplus, &xs, BLOCK,
                     ));
                 }) / evals as f64
             })
         });
+        sg_par::set_num_threads(width);
         let eval_speedup = es / ev.max(f64::MIN_POSITIVE);
         kernels.add_row(vec![
             d.to_string(),

@@ -7,10 +7,11 @@
 //! in-subspace position `index1` and its value are computed directly from
 //! the coordinates — neither `gp2idx` nor `idx2gp` is needed.
 //!
-//! Batch evaluation is embarrassingly parallel over query points; the
-//! *blocked* variant hoists the subspace loop outside a block of points so
-//! each subspace's coefficients are reused while cache-resident
-//! (paper §4.3). The subspace walk itself is precomputed **once per
+//! Batch evaluation is embarrassingly parallel over query points. The one
+//! batch evaluator, [`evaluate_batch_into`], hoists the subspace loop
+//! outside a block of points so each subspace's coefficients are reused
+//! while cache-resident (paper §4.3), and spreads the blocks over the
+//! `sg_par` pool. The subspace walk itself is precomputed **once per
 //! batch** into an [`EvalPlan`] (not once per block, and never per
 //! point), and the per-subspace inner loop is dispatched through
 //! [`crate::kernel`]: a lane-width of query points is processed per
@@ -36,7 +37,7 @@ tel! {
         sg_telemetry::Counter::new("core.evaluate.bytes_moved");
     static BATCH_SPAN: sg_telemetry::Span =
         sg_telemetry::Span::new("core.evaluate.batch");
-    /// Latency distribution over individual blocked batches — the tail
+    /// Latency distribution over batch-evaluation calls — the tail
     /// (p99) is what a visualization frame budget actually sees.
     static BATCH_NS: sg_telemetry::Histogram =
         sg_telemetry::Histogram::new("core.evaluate.batch_ns");
@@ -138,88 +139,56 @@ pub fn evaluate_batch<T: Real>(grid: &CompactGrid<T>, xs: &[f64]) -> Vec<T> {
     xs.chunks_exact(d).map(|x| evaluate(grid, x)).collect()
 }
 
-/// Blocked batch evaluation (paper §4.3): process `block` query points per
-/// subspace sweep, so each subspace's coefficient chunk — fetched once —
-/// serves the whole block from cache. Builds the subspace plan once and
-/// delegates to [`evaluate_batch_blocked_with_plan`].
-pub fn evaluate_batch_blocked<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
-    let plan = EvalPlan::new(grid.spec());
-    evaluate_batch_blocked_with_plan(grid, xs, block, &plan)
-}
+/// Default query points per block: the cache block that callers without
+/// a measured reason to differ pass as `block`.
+pub const BLOCK: usize = 64;
 
-/// Blocked batch evaluation against a caller-supplied [`EvalPlan`]
-/// (built once per batch; the parallel path shares one plan across all
-/// pool workers). The inner per-subspace loop runs on the kernel chosen
-/// by [`crate::kernel::active`].
-///
-/// # Panics
-/// If the plan was built for a different dimensionality, `xs.len()` is
-/// not a multiple of `d`, `block` is zero, or a coordinate is outside
-/// `[0, 1]`.
-pub fn evaluate_batch_blocked_with_plan<T: Real>(
-    grid: &CompactGrid<T>,
-    xs: &[f64],
-    block: usize,
-    plan: &EvalPlan,
-) -> Vec<T> {
-    let k = if grid.spec().dim() == 0 {
-        0
-    } else {
-        xs.len() / grid.spec().dim()
-    };
-    let mut out = vec![T::ZERO; k];
-    let mut scratch = EvalScratch::new();
-    evaluate_batch_blocked_into(grid, xs, block, plan, &mut out, &mut scratch);
-    out
-}
-
-/// Reusable accumulator/transpose buffers for
-/// [`evaluate_batch_blocked_into`]. Holding one of these across calls
-/// (e.g. per server connection, ffsvm's `Problem` idiom) makes repeated
-/// batch evaluations allocation-free once the buffers have grown to the
-/// steady-state batch shape.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Per-block f64 accumulators (`block` entries).
+/// One thread's per-block buffers: the f64 accumulators (`block`
+/// entries) and the SoA coordinate transpose the SIMD kernels read
+/// (`block · d`). They grow to the steady-state block shape once per
+/// thread and are reused by every later call on that thread, so
+/// repeated batch evaluation allocates nothing.
+#[derive(Default)]
+struct Scratch {
     acc: Vec<f64>,
-    /// SoA coordinate transpose the SIMD kernels read (`block · d`).
     soa: Vec<f64>,
 }
 
-impl EvalScratch {
-    /// Fresh, empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scratch pre-sized for `block`-point blocks in `dim` dimensions,
-    /// so even the first evaluation allocates nothing.
-    pub fn with_capacity(block: usize, dim: usize) -> Self {
-        Self {
-            acc: vec![0.0; block],
-            soa: vec![0.0; block * dim],
-        }
-    }
+thread_local! {
+    static SCRATCH: std::cell::Cell<Scratch> = const {
+        std::cell::Cell::new(Scratch { acc: Vec::new(), soa: Vec::new() })
+    };
 }
 
-/// [`evaluate_batch_blocked_with_plan`] writing into a caller-owned
-/// output slice with caller-owned [`EvalScratch`]: the allocation-free
-/// core of the serving request path. Bitwise identical to the scalar
-/// reference (same kernels, same order of operations).
+/// Batch evaluation into a caller-owned output slice — the one
+/// blocked/SIMD/pooled evaluator every batch caller uses.
+///
+/// `xs` holds `k` points row-major (`xs.len() == k · d`) and `out`
+/// receives their `k` values. `block` (rounded up to whole SIMD lanes)
+/// query points are processed per subspace sweep, so each subspace's
+/// coefficient chunk, fetched once, serves the whole block from cache
+/// (paper §4.3). Blocks are the work items of one `sg_par` region (the
+/// paper's GPU scheme, one thread per interpolation point, at block
+/// granularity): a batch of at most one block runs inline on the
+/// caller, a larger one on the pool, which claims one block at a time
+/// because per-point cost varies with the basis-function path length.
+/// Every pool worker shares `plan` and the kernel chosen by
+/// [`crate::kernel::active`] on the calling thread; the accumulator and
+/// transpose buffers are per-thread and owned here. Bitwise identical to
+/// [`evaluate_batch`] for every block size, kernel and pool width.
 ///
 /// # Panics
-/// In addition to the [`evaluate_batch_blocked_with_plan`] conditions,
-/// panics if `out.len()` is not exactly the number of query points.
-pub fn evaluate_batch_blocked_into<T: Real>(
+/// If the plan was built for a different dimensionality, `xs.len()` is
+/// not a multiple of `d`, `block` is zero, a coordinate is outside
+/// `[0, 1]`, or `out.len()` is not the number of query points.
+pub fn evaluate_batch_into<T: Real>(
     grid: &CompactGrid<T>,
     xs: &[f64],
     block: usize,
     plan: &EvalPlan,
     out: &mut [T],
-    ws: &mut EvalScratch,
 ) {
-    let spec = grid.spec();
-    let d = spec.dim();
+    let d = grid.spec().dim();
     assert_eq!(plan.dim(), d, "plan built for a different dimensionality");
     assert_eq!(xs.len() % d, 0, "flat point array length must be k·d");
     assert!(block >= 1, "block size must be positive");
@@ -227,78 +196,87 @@ pub fn evaluate_batch_blocked_into<T: Real>(
         xs.iter().all(|&v| (0.0..=1.0).contains(&v)),
         "query point outside the unit domain"
     );
-    let k = xs.len() / d;
-    assert_eq!(out.len(), k, "output slice length must match point count");
-    let values = grid.values();
+    assert_eq!(
+        out.len(),
+        xs.len() / d,
+        "output slice length must match point count"
+    );
     let kind = kernel::active();
-    let values_f64 = T::as_f64_slice(values);
-    ws.acc.clear();
-    ws.acc.resize(block.min(k), 0.0);
-    let acc = &mut ws.acc;
-    let scratch = &mut ws.soa;
-
+    let block = sg_par::lane_aligned(block, kind.lanes());
     tel! {
         let batch_t0 = std::time::Instant::now();
-        let mut walks = 0u64;
-        let mut reads = 0u64;
     }
-    let mut blk_start = 0usize;
-    while blk_start < k {
-        let blk = blk_start..(blk_start + block).min(k);
-        let bxs = &xs[blk.start * d..blk.end * d];
-        let acc = &mut acc[..blk.len()];
-        acc.fill(0.0);
-        // The SIMD kernels read coordinates from the SoA scratch layout;
-        // transpose once per block, outside the (possibly per-group)
-        // kernel calls.
-        let use_simd = values_f64.is_some() && kind != KernelKind::Scalar;
-        if use_simd {
-            transpose_block(bxs, d, blk.len(), scratch);
-        }
-        let run_entries = |entries: std::ops::Range<usize>, acc: &mut [f64]| match values_f64 {
-            // f32 grids (and a forced scalar kernel) take the generic
-            // scalar path; it is the bitwise reference either way.
-            Some(v) if kind != KernelKind::Scalar => {
-                eval_block_simd(kind, v, plan, entries, bxs, d, scratch, acc)
-            }
-            _ => eval_block_scalar(values, plan, entries, bxs, d, acc),
-        };
-        // Entries stay in ascending order either way, so the split is
-        // bitwise-neutral; only telemetry builds pay the per-group
-        // timer reads.
-        #[cfg(feature = "telemetry")]
-        let block_reads = {
-            let mut r = 0u64;
-            for n in 0..plan.num_groups() {
-                let entries = plan.group_entries(n);
-                if entries.is_empty() {
-                    continue;
-                }
-                let g0 = std::time::Instant::now();
-                r += run_entries(entries, acc);
-                GROUP_EVAL[n].record(g0.elapsed().as_nanos() as u64);
-            }
-            r
-        };
-        #[cfg(not(feature = "telemetry"))]
-        let block_reads = run_entries(0..plan.num_subspaces(), acc);
-        tel! {
-            walks += plan.num_subspaces() as u64;
-            reads += block_reads;
-        }
-        let _ = block_reads;
-        for (o, a) in out[blk.clone()].iter_mut().zip(acc.iter()) {
-            *o = T::from_f64(*a);
-        }
-        blk_start = blk.end;
-    }
+    sg_par::par_chunks_mut_grained(out, block, 1, "core.evaluate.batch", None, |ci, out| {
+        let xs = &xs[ci * block * d..][..out.len() * d];
+        SCRATCH.with(|cell| {
+            let mut ws = cell.take();
+            eval_block(grid.values(), plan, kind, xs, d, &mut ws, out);
+            cell.set(ws);
+        });
+    });
     tel! {
         let batch_ns = batch_t0.elapsed().as_nanos() as u64;
         BATCH_SPAN.record(batch_ns);
         BATCH_NS.record(batch_ns);
-        EVAL_POINTS.add(k as u64);
-        SUBSPACE_WALKS.add(walks);
+        EVAL_POINTS.add(out.len() as u64);
+    }
+}
+
+/// Evaluate one block of query points (`out.len()` of them, row-major
+/// in `xs`) against every subspace of `plan` on kernel `kind`.
+fn eval_block<T: Real>(
+    values: &[T],
+    plan: &EvalPlan,
+    kind: KernelKind,
+    xs: &[f64],
+    d: usize,
+    ws: &mut Scratch,
+    out: &mut [T],
+) {
+    let values_f64 = T::as_f64_slice(values);
+    let acc = &mut ws.acc;
+    acc.clear();
+    acc.resize(out.len(), 0.0);
+    // The SIMD kernels read coordinates from the SoA scratch layout;
+    // transpose once per block, outside the (possibly per-group) kernel
+    // calls.
+    let use_simd = values_f64.is_some() && kind != KernelKind::Scalar;
+    if use_simd {
+        transpose_block(xs, d, out.len(), &mut ws.soa);
+    }
+    let soa = &ws.soa;
+    let run_entries = |entries: std::ops::Range<usize>, acc: &mut [f64]| match values_f64 {
+        // f32 grids (and a forced scalar kernel) take the generic scalar
+        // path; it is the bitwise reference either way.
+        Some(v) if use_simd => eval_block_simd(kind, v, plan, entries, xs, d, soa, acc),
+        _ => eval_block_scalar(values, plan, entries, xs, d, acc),
+    };
+    // Entries stay in ascending order either way, so the split is
+    // bitwise-neutral; only telemetry builds pay the per-group timer
+    // reads.
+    #[cfg(feature = "telemetry")]
+    let reads = {
+        let mut r = 0u64;
+        for n in 0..plan.num_groups() {
+            let entries = plan.group_entries(n);
+            if entries.is_empty() {
+                continue;
+            }
+            let g0 = std::time::Instant::now();
+            r += run_entries(entries, acc);
+            GROUP_EVAL[n].record(g0.elapsed().as_nanos() as u64);
+        }
+        r
+    };
+    #[cfg(not(feature = "telemetry"))]
+    let reads = run_entries(0..plan.num_subspaces(), acc);
+    tel! {
+        SUBSPACE_WALKS.add(plan.num_subspaces() as u64);
         COEFF_BYTES.add(reads * T::size_bytes() as u64);
+    }
+    let _ = reads;
+    for (o, a) in out.iter_mut().zip(acc.iter()) {
+        *o = T::from_f64(*a);
     }
 }
 
@@ -568,27 +546,12 @@ mod neon {
     }
 }
 
-/// Parallel batch evaluation: static decomposition of the query points
-/// over threads (the paper's GPU scheme: one thread per interpolation
-/// point), blocked within each thread's chunk. The claim granularity is
-/// rounded up to whole SIMD lane groups, and one [`EvalPlan`] is shared
-/// by every pool worker.
+/// Batch evaluation returning a fresh vector: builds the subspace plan
+/// once and runs [`evaluate_batch_into`] with `block`-point blocks.
 pub fn evaluate_batch_parallel<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
-    let d = grid.spec().dim();
-    assert_eq!(xs.len() % d, 0, "flat point array length must be k·d");
-    let block = sg_par::lane_aligned(block, kernel::active().lanes());
-    let plan = &EvalPlan::new(grid.spec());
-    let chunk = block * d;
-    let n_chunks = xs.len().div_ceil(chunk);
-    // Per-point cost varies with the basis-function path length, so
-    // claim one block at a time and let the pool balance dynamically.
-    sg_par::par_map_indexed_grained(n_chunks, 1, "core.evaluate.batch", None, |k| {
-        let sub = &xs[k * chunk..((k + 1) * chunk).min(xs.len())];
-        evaluate_batch_blocked_with_plan(grid, sub, block, plan)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut out = vec![T::ZERO; xs.len() / grid.spec().dim()];
+    evaluate_batch_into(grid, xs, block, &EvalPlan::new(grid.spec()), &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -692,6 +655,14 @@ mod tests {
         }
     }
 
+    /// [`evaluate_batch_into`] against a fresh plan, into a NaN-filled
+    /// buffer so an unwritten slot cannot pass as a result.
+    fn into<T: Real>(g: &CompactGrid<T>, xs: &[f64], block: usize) -> Vec<T> {
+        let mut out = vec![T::from_f64(f64::NAN); xs.len() / g.spec().dim()];
+        evaluate_batch_into(g, xs, block, &EvalPlan::new(g.spec()), &mut out);
+        out
+    }
+
     #[test]
     fn blocked_matches_unblocked_for_any_block_size() {
         let spec = GridSpec::new(2, 5);
@@ -699,7 +670,7 @@ mod tests {
         let pts: Vec<f64> = (0..34).map(|k| ((k * 53) % 97) as f64 / 97.0).collect();
         let reference = evaluate_batch(&g, &pts);
         for block in [1, 2, 3, 7, 16, 17, 100] {
-            assert_eq!(evaluate_batch_blocked(&g, &pts, block), reference);
+            assert_eq!(into(&g, &pts, block), reference);
         }
     }
 
@@ -712,11 +683,9 @@ mod tests {
         let simd = detect();
         for block in [1, 2, 3, 4, 5, 7, 8, 16, 17, 100] {
             let scalar = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
-                evaluate_batch_blocked(&g, &pts, block)
+                into(&g, &pts, block)
             });
-            let vector = with_kernel(KernelSelect::Force(simd), || {
-                evaluate_batch_blocked(&g, &pts, block)
-            });
+            let vector = with_kernel(KernelSelect::Force(simd), || into(&g, &pts, block));
             assert_eq!(scalar, reference, "block {block}");
             for (q, (a, b)) in vector.iter().zip(&reference).enumerate() {
                 assert_eq!(
@@ -735,10 +704,9 @@ mod tests {
         let g = surplus_grid(spec, |x| x[0] * x[1] + x[2]);
         let pts: Vec<f64> = (0..30).map(|k| ((k * 31) % 89) as f64 / 89.0).collect();
         let plan = EvalPlan::new(&spec);
-        assert_eq!(
-            evaluate_batch_blocked_with_plan(&g, &pts, 4, &plan),
-            evaluate_batch_blocked(&g, &pts, 4)
-        );
+        let mut out = vec![0.0; 10];
+        evaluate_batch_into(&g, &pts, 4, &plan, &mut out);
+        assert_eq!(out, evaluate_batch_parallel(&g, &pts, 4));
     }
 
     #[test]
@@ -759,9 +727,9 @@ mod tests {
         hierarchize(&mut g);
         let pts: Vec<f64> = (0..18).map(|k| ((k * 41) % 71) as f64 / 71.0).collect();
         let reference = evaluate_batch(&g, &pts);
-        let auto = evaluate_batch_blocked(&g, &pts, 4);
+        let auto = into(&g, &pts, 4);
         let scalar = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
-            evaluate_batch_blocked(&g, &pts, 4)
+            into(&g, &pts, 4)
         });
         assert_eq!(auto, reference);
         assert_eq!(scalar, reference);
@@ -786,7 +754,7 @@ mod tests {
     fn rejects_a_foreign_plan() {
         let g = surplus_grid(GridSpec::new(2, 2), |x| x[0]);
         let plan = EvalPlan::new(&GridSpec::new(3, 2));
-        evaluate_batch_blocked_with_plan(&g, &[0.5, 0.5], 4, &plan);
+        evaluate_batch_into(&g, &[0.5, 0.5], 4, &plan, &mut [0.0]);
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub mod prelude {
     pub use crate::bijection::GridIndexer;
     pub use crate::error::SgError;
     pub use crate::evaluate::{
-        evaluate, evaluate_batch, evaluate_batch_blocked, evaluate_batch_blocked_into,
-        evaluate_batch_blocked_with_plan, evaluate_batch_parallel, EvalScratch,
+        evaluate, evaluate_batch, evaluate_batch_into, evaluate_batch_parallel,
     };
     pub use crate::full_grid::FullGrid;
     pub use crate::functions::{halton_points, TestFunction};

@@ -1,18 +1,20 @@
 //! Batch-evaluation equivalence matrix.
 //!
-//! `evaluate_batch_blocked` and `evaluate_batch_parallel` must return
-//! *bit-identical* results to the scalar `evaluate` loop for every block
-//! size and thread count: both reorder only the iteration over query
-//! points, never the per-point arithmetic.
+//! `evaluate_batch_into` (with a caller-owned plan and output) and
+//! `evaluate_batch_parallel` must return *bit-identical* results to the
+//! scalar `evaluate` loop for every block size and thread count: both
+//! reorder only the iteration over query points, never the per-point
+//! arithmetic.
 //!
 //! This lives in its own test binary because `sg_par::set_num_threads`
 //! is process-global; the tests here tolerate each other racing on the
 //! pool width precisely because the contract is width-independent.
 
-use sg_core::evaluate::{evaluate, evaluate_batch_blocked, evaluate_batch_parallel};
+use sg_core::evaluate::{evaluate, evaluate_batch_into, evaluate_batch_parallel};
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::hierarchize;
 use sg_core::level::GridSpec;
+use sg_core::plan::EvalPlan;
 use sg_prop::Rng;
 
 /// Shapes covering 1-d, a square, and a skinny high-dim grid.
@@ -28,6 +30,14 @@ fn hierarchized(d: usize, n: usize) -> CompactGrid<f64> {
     });
     hierarchize(&mut grid);
     grid
+}
+
+/// `evaluate_batch_into` into a NaN-filled buffer, so a point it skips
+/// cannot pass as a result.
+fn into(grid: &CompactGrid<f64>, xs: &[f64], block: usize) -> Vec<f64> {
+    let mut out = vec![f64::NAN; xs.len() / grid.spec().dim()];
+    evaluate_batch_into(grid, xs, block, &EvalPlan::new(grid.spec()), &mut out);
+    out
 }
 
 /// Random queries plus grid nodes and domain corners, flattened to k·d.
@@ -60,7 +70,7 @@ fn check_matrix(threads: usize) {
         let scalar: Vec<f64> = xs.chunks_exact(d).map(|x| evaluate(&grid, x)).collect();
         for block in [1, 7, 64, len + 3] {
             for (label, got) in [
-                ("blocked", evaluate_batch_blocked(&grid, &xs, block)),
+                ("into", into(&grid, &xs, block)),
                 ("parallel", evaluate_batch_parallel(&grid, &xs, block)),
             ] {
                 assert_eq!(got.len(), len);
@@ -96,15 +106,15 @@ fn batch_paths_match_scalar_evaluate_on_eight_threads() {
 fn empty_and_single_point_batches() {
     let grid = hierarchized(3, 3);
     for block in [1, 7, 64, 128] {
-        assert!(evaluate_batch_blocked(&grid, &[], block).is_empty());
+        assert!(into(&grid, &[], block).is_empty());
         assert!(evaluate_batch_parallel(&grid, &[], block).is_empty());
 
         let x = [0.3, 0.625, 0.5];
         let want = evaluate(&grid, &x);
         assert_eq!(
-            evaluate_batch_blocked(&grid, &x, block)[0].to_bits(),
+            into(&grid, &x, block)[0].to_bits(),
             want.to_bits(),
-            "blocked single point, block={block}"
+            "into single point, block={block}"
         );
         assert_eq!(
             evaluate_batch_parallel(&grid, &x, block)[0].to_bits(),

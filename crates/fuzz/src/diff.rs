@@ -39,9 +39,7 @@ use sg_baselines::{evaluate_recursive, hierarchize_recursive, SparseGridStore, S
 use sg_combination::CombinationGrid;
 use sg_core::boundary::{BoundaryGrid, BoundaryIndexer, DimCoord};
 use sg_core::combinatorics::{binomial, sparse_grid_points};
-use sg_core::evaluate::{
-    evaluate, evaluate_batch, evaluate_batch_blocked, evaluate_batch_parallel,
-};
+use sg_core::evaluate::{evaluate, evaluate_batch, evaluate_batch_into, evaluate_batch_parallel};
 use sg_core::full_grid::FullGrid;
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::{
@@ -50,6 +48,7 @@ use sg_core::hierarchize::{
 };
 use sg_core::kernel::{detect, with_kernel, KernelKind, KernelSelect};
 use sg_core::level::{hat, GridSpec, Index, Level};
+use sg_core::plan::EvalPlan;
 use sg_prop::Rng;
 
 use crate::gen::{query_points, shape, shape_with_full_grid, SampledFn};
@@ -64,9 +63,11 @@ pub enum Op {
     Hierarchize,
     /// Point evaluation: compact vs recursive vs brute basis sum.
     Evaluate,
-    /// `evaluate_batch_blocked` bitwise against the scalar batch.
+    /// The batch evaluator run inline, one call per block, bitwise
+    /// against the scalar batch.
     BatchBlocked,
-    /// `evaluate_batch_parallel` bitwise against the scalar batch.
+    /// The batch evaluator run on the pool (`evaluate_batch_parallel`)
+    /// bitwise against the scalar batch.
     BatchParallel,
     /// Hierarchize → dehierarchize returns the nodal values; parallel
     /// sweeps bitwise-match sequential ones.
@@ -243,6 +244,19 @@ fn forced_kernel_tiers<R>(compute: impl Fn() -> R) -> [(KernelKind, R); 2] {
     ]
 }
 
+/// The one batch evaluator run inline: one [`evaluate_batch_into`] call
+/// per `block` points, and a call of at most one block never reaches the
+/// pool, whatever its width.
+fn evaluate_blocked_inline(grid: &CompactGrid<f64>, xs: &[f64], block: usize) -> Vec<f64> {
+    let d = grid.spec().dim();
+    let plan = EvalPlan::new(grid.spec());
+    let mut out = vec![0.0; xs.len() / d];
+    for (xs, out) in xs.chunks(block * d).zip(out.chunks_mut(block)) {
+        evaluate_batch_into(grid, xs, block, &plan, out);
+    }
+    out
+}
+
 /// Run one case; `Ok(())` means every tier agreed.
 pub fn run_case(case: &Case, inject: Injection) -> Result<(), Failure> {
     match case.op {
@@ -398,7 +412,7 @@ fn evaluate_diff(case: &Case) -> Result<(), Failure> {
     // Tier D: the blocked batch over the same queries under forced
     // kernels, bitwise against the scalar batch reference.
     let batch_ref = evaluate_batch(&compact, &xs);
-    for (kind, got) in forced_kernel_tiers(|| evaluate_batch_blocked(&compact, &xs, 8)) {
+    for (kind, got) in forced_kernel_tiers(|| evaluate_blocked_inline(&compact, &xs, 8)) {
         for (q, (a, b)) in batch_ref.iter().zip(&got).enumerate() {
             if !compares(case, q) {
                 continue;
@@ -455,7 +469,7 @@ fn batch_diff(case: &Case, parallel: bool) -> Result<(), Failure> {
                 if parallel {
                     evaluate_batch_parallel(&grid, xs, block)
                 } else {
-                    evaluate_batch_blocked(&grid, xs, block)
+                    evaluate_blocked_inline(&grid, xs, block)
                 }
             };
             // Auto dispatch plus the forced-kernel tier D, all bitwise

@@ -142,8 +142,9 @@ fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// Value-type tag for a scalar type.
-fn type_tag<T: Real>() -> u8 {
+/// Value-type tag for a scalar type (`f32` → 0, `f64` → 1), shared by
+/// the SGC1, SGC2 and SGCM headers.
+pub(crate) fn type_tag<T: Real>() -> u8 {
     match T::size_bytes() {
         4 => 0,
         8 => 1,

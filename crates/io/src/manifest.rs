@@ -46,9 +46,10 @@
 //! verification reports it as lost rather than as a silent zero grid.
 
 use crate::snapshot::{
-    crc64, decode_payload, encode_section, type_tag, verify_section, SectionReport, SectionStatus,
+    crc64, decode_payload, encode_section, verify_section, SectionReport, SectionStatus,
     SnapshotSink, MAX_PROVENANCE, SECTION_CRC, SECTION_FIXED, SECTION_MARKER, TRAILER_LEN,
 };
+use crate::type_tag;
 use sg_core::error::SgError;
 use sg_core::level::Level;
 use sg_core::real::Real;

@@ -52,6 +52,7 @@
 //! [`FileSink`] is atomic (temp file → flush → rename), and tests inject
 //! ENOSPC, torn writes, truncation, and bit flips via [`FaultSink`].
 
+use crate::type_tag;
 use sg_core::error::SgError;
 use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
@@ -533,13 +534,6 @@ fn parse_footer(bytes: &[u8]) -> Option<(SnapshotInfo, usize)> {
     let start = bytes.len().checked_sub(TRAILER_LEN + flen)?;
     let (info, parsed_len) = parse_header_at(bytes, start)?;
     (parsed_len == flen).then_some((info, parsed_len))
-}
-
-pub(crate) fn type_tag<T: Real>() -> u8 {
-    match T::size_bytes() {
-        4 => 0,
-        _ => 1,
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -385,7 +385,14 @@ pub fn par_chunks_mut_grained<T, F>(
     }
     let len = data.len();
     let n_chunks = len.div_ceil(chunk_len);
-    let k = num_threads().min(n_chunks);
+    // A single chunk never asks for the width: reading `SG_PAR_THREADS`
+    // allocates when it is set, and one-chunk regions (e.g. `sgd`'s
+    // one-block batches) are on allocation-free paths.
+    let k = if n_chunks == 1 {
+        1
+    } else {
+        num_threads().min(n_chunks)
+    };
     if k <= 1 || pool::in_region() {
         #[cfg(feature = "telemetry")]
         let t0 = Instant::now();

@@ -6,27 +6,27 @@
 //! control, not backpressure-by-hanging). A dedicated executor thread
 //! drains the queue, **coalesces** consecutive jobs targeting the same
 //! model into one flat batch (up to `batch_max_points`), pins an epoch,
-//! and evaluates the whole batch through the model's shared
-//! [`sg_core::plan::EvalPlan`] and the active SIMD kernel — on the
-//! sg-par pool once the batch is large enough to amortize the barrier,
-//! inline otherwise. Per-point results are independent, so coalescing
-//! and chunking are bitwise-neutral: the daemon's answers are identical
-//! to direct `sg_core::evaluate` calls.
+//! and evaluates the whole batch with
+//! [`sg_core::evaluate::evaluate_batch_into`] through the model's shared
+//! [`sg_core::plan::EvalPlan`] — inline for a batch of one block, on the
+//! sg-par pool for a larger one. Per-point results are independent, so
+//! coalescing and chunking are bitwise-neutral: the daemon's answers are
+//! identical to direct `sg_core::evaluate` calls.
 //!
 //! ## Zero-allocation steady state
 //!
 //! Every buffer on the request path is owned and reused: the
 //! connection's [`Job`] (coordinates in, results out — ffsvm's
-//! `Problem` idiom), the executor's staging/batch buffers and
-//! [`EvalScratch`], and the queue itself (preallocated to its depth;
-//! `Arc<Job>` clones only bump a refcount). After warm-up, a request
-//! allocates nothing on client, queue, or executor side — asserted by a
-//! counting-allocator test.
+//! `Problem` idiom), the executor's staging/batch buffers, the
+//! evaluator's per-thread scratch (owned by sg-core), and the queue
+//! itself (preallocated to its depth; `Arc<Job>` clones only bump a
+//! refcount). After warm-up, a one-block request allocates nothing on
+//! client, queue, or executor side — asserted by a counting-allocator
+//! test.
 
 use crate::fleet::{Fleet, Model};
 use crate::protocol::ServeError;
-use sg_core::evaluate::{evaluate_batch_blocked_into, EvalScratch};
-use sg_core::kernel;
+use sg_core::evaluate::{evaluate_batch_into, BLOCK};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -72,13 +72,6 @@ pub struct ServeConfig {
     /// (`SGD_BATCH_MAX_POINTS`, default 16384, min 1). Also the per-
     /// request point ceiling.
     pub batch_max_points: usize,
-    /// Cache block size for the blocked evaluator (`SGD_BLOCK`,
-    /// default 64, min 1); lane-aligned before use.
-    pub block: usize,
-    /// Batches at or above this many points run on the sg-par pool;
-    /// smaller ones run inline on the executor
-    /// (`SGD_PAR_MIN_POINTS`, default 2048, min 1).
-    pub par_min_points: usize,
     /// Max wire-frame payload bytes (`SGD_MAX_FRAME`, default 16 MiB,
     /// min 64).
     pub max_frame: usize,
@@ -106,8 +99,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_depth: 256,
             batch_max_points: 16384,
-            block: 64,
-            par_min_points: 2048,
             max_frame: crate::protocol::DEFAULT_MAX_FRAME,
             max_models: 64,
             io_timeout_ms: 30_000,
@@ -125,8 +116,6 @@ impl ServeConfig {
         ServeConfig {
             queue_depth: crate::env_knob("SGD_QUEUE_DEPTH", d.queue_depth, 1),
             batch_max_points: crate::env_knob("SGD_BATCH_MAX_POINTS", d.batch_max_points, 1),
-            block: crate::env_knob("SGD_BLOCK", d.block, 1),
-            par_min_points: crate::env_knob("SGD_PAR_MIN_POINTS", d.par_min_points, 1),
             max_frame: crate::env_knob("SGD_MAX_FRAME", d.max_frame, 64),
             max_models: crate::env_knob("SGD_MAX_MODELS", d.max_models, 1),
             io_timeout_ms: crate::env_knob("SGD_IO_TIMEOUT_MS", d.io_timeout_ms, 10),
@@ -494,10 +483,6 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
     let mut spans: Vec<(usize, usize)> = Vec::with_capacity(cfg.queue_depth);
     let mut xs_all: Vec<f64> = Vec::new();
     let mut out_all: Vec<f64> = Vec::new();
-    let mut scratch = EvalScratch::new();
-    // Per-worker scratch for the pooled path, popped/pushed without
-    // allocating once the pool has warmed up.
-    let scratch_pool: Mutex<Vec<EvalScratch>> = Mutex::new(Vec::with_capacity(32));
 
     loop {
         batch.clear();
@@ -589,16 +574,7 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
             }
             continue;
         };
-        execute_batch(
-            model,
-            &cfg,
-            &batch,
-            &mut spans,
-            &mut xs_all,
-            &mut out_all,
-            &mut scratch,
-            &scratch_pool,
-        );
+        execute_batch(model, &batch, &mut spans, &mut xs_all, &mut out_all);
         drop(guard);
     }
 }
@@ -607,16 +583,12 @@ fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
 /// results back to the jobs. Shape-mismatched jobs (the model was
 /// swapped to a different dimensionality mid-flight) get typed errors;
 /// the rest proceed.
-#[allow(clippy::too_many_arguments)]
 fn execute_batch(
     model: &Model,
-    cfg: &ServeConfig,
     batch: &[Arc<Job>],
     spans: &mut Vec<(usize, usize)>,
     xs_all: &mut Vec<f64>,
     out_all: &mut Vec<f64>,
-    scratch: &mut EvalScratch,
-    scratch_pool: &Mutex<Vec<EvalScratch>>,
 ) {
     let d = model.dim();
     xs_all.clear();
@@ -640,40 +612,13 @@ fn execute_batch(
     }
     out_all.clear();
     out_all.resize(total, 0.0);
-    let block = sg_par::lane_aligned(cfg.block, kernel::active().lanes());
 
     #[cfg(feature = "telemetry")]
     let t0 = std::time::Instant::now();
-    let grid = &model.grid;
-    let plan = &model.plan;
+    // The evaluator validates its inputs by panicking; `prepare` has
+    // already rejected bad requests, so this is the last resort.
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if total >= cfg.par_min_points {
-            // Pool path: lane-aligned blocks claimed dynamically, one
-            // shared plan, per-worker scratch from the pool. Chunking
-            // is bitwise-neutral — every point is independent.
-            sg_par::par_chunks_mut_grained(
-                out_all,
-                block,
-                1,
-                "serve.batch",
-                None,
-                |ci, out_chunk| {
-                    let xs_chunk = &xs_all[ci * block * d..ci * block * d + out_chunk.len() * d];
-                    let mut ws = scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .pop()
-                        .unwrap_or_default();
-                    evaluate_batch_blocked_into(grid, xs_chunk, block, plan, out_chunk, &mut ws);
-                    scratch_pool
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(ws);
-                },
-            );
-        } else {
-            evaluate_batch_blocked_into(grid, xs_all, block, plan, out_all, scratch);
-        }
+        evaluate_batch_into(&model.grid, xs_all, BLOCK, &model.plan, out_all)
     }))
     .is_err();
     tel! {

@@ -41,6 +41,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_requests_do_not_allocate() {
+    // A pool width in the environment must not matter: reading it
+    // allocates, and a one-block batch never asks for it.
+    std::env::set_var("SG_PAR_THREADS", "2");
     let mut grid = CompactGrid::from_fn(GridSpec::new(3, 5), |x| (4.0 * x[0]).sin() + x[1] * x[2]);
     hierarchize(&mut grid);
     let path = std::env::temp_dir().join(format!("sg-serve-alloc-{}.sgcs", std::process::id()));
@@ -48,9 +51,10 @@ fn steady_state_requests_do_not_allocate() {
 
     let fleet = Fleet::new(2);
     fleet.load("m", &path).unwrap();
-    // Keep batches below the pool threshold: the inline executor path is
-    // the steady-state contract (the pool path trades allocations in its
-    // telemetry accounting for multi-core throughput on big batches).
+    // Each 40-point request is one evaluator block (`BLOCK` = 64), so it
+    // runs inline on the executor: that path is the steady-state contract
+    // (the pool path trades allocations in its telemetry accounting for
+    // multi-core throughput on batches of several blocks).
     let engine = Engine::new(fleet, ServeConfig::default());
     let slot = engine.fleet().resolve("m").unwrap();
     let job = engine.make_job();

@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release -p sg-apps --example combination_technique`
 
 use sg_combination::CombinationGrid;
+use sg_core::evaluate::BLOCK;
 use sg_core::prelude::*;
 use std::time::Instant;
 
@@ -59,7 +60,7 @@ fn main() {
     let xs = halton_points(d, 20_000);
 
     let t0 = Instant::now();
-    let a = evaluate_batch_parallel(&direct, &xs, 64);
+    let a = evaluate_batch_parallel(&direct, &xs, BLOCK);
     let t_direct = t0.elapsed();
     let t0 = Instant::now();
     let b = comb.evaluate_batch_parallel(&xs);

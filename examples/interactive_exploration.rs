@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release -p sg-apps --example interactive_exploration`
 
+use sg_core::evaluate::BLOCK;
 use sg_core::prelude::*;
 use std::time::Instant;
 
@@ -63,7 +64,7 @@ fn main() {
             }
         }
         let t0 = Instant::now();
-        let values = evaluate_batch_parallel(&grid, &pixels, 64);
+        let values = evaluate_batch_parallel(&grid, &pixels, BLOCK);
         let dt = t0.elapsed();
 
         let max = values.iter().copied().fold(0.0f64, f64::max).max(1e-12);

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p sg-apps --example parallel_throughput [points]`
 
-use sg_core::evaluate::{evaluate_batch, evaluate_batch_blocked, evaluate_batch_parallel};
+use sg_core::evaluate::{evaluate_batch, evaluate_batch_parallel, BLOCK};
 use sg_core::prelude::*;
 use sg_gpu::{evaluate_gpu, GpuDevice, KernelConfig};
 use std::time::Instant;
@@ -46,15 +46,19 @@ fn main() {
     );
 
     // Blocked (paper §4.3): subspaces stay cache-resident across a block.
+    // Serial: the same evaluator at pool width 1.
+    let width = sg_par::num_threads();
+    sg_par::set_num_threads(1);
     let t0 = Instant::now();
-    let blocked = evaluate_batch_blocked(&grid, &xs, 64);
+    let blocked = evaluate_batch_parallel(&grid, &xs, BLOCK);
     let t_blocked = t0.elapsed();
+    sg_par::set_num_threads(width);
     println!("blocked (64)        : {:>8.3} Mpts/s", mpts(t_blocked));
 
     // Thread-parallel over query points (embarrassingly parallel, the
     // paper's static decomposition).
     let t0 = Instant::now();
-    let parallel = evaluate_batch_parallel(&grid, &xs, 64);
+    let parallel = evaluate_batch_parallel(&grid, &xs, BLOCK);
     let t_par = t0.elapsed();
     println!(
         "threads ({:>2})        : {:>8.3} Mpts/s  ({:.2}x over blocked)",

@@ -6,9 +6,7 @@ use sg_baselines::{
     evaluate_recursive, hierarchize_recursive, EnhancedHashGrid, EnhancedMapGrid, PrefixTreeGrid,
     SparseGridStore, StdMapGrid,
 };
-use sg_core::evaluate::{
-    evaluate, evaluate_batch, evaluate_batch_blocked, evaluate_batch_parallel,
-};
+use sg_core::evaluate::{evaluate, evaluate_batch, evaluate_batch_parallel};
 use sg_core::functions::{halton_points, TestFunction};
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::{hierarchize, hierarchize_alg6_literal, hierarchize_parallel};
@@ -71,7 +69,7 @@ fn all_evaluation_variants_agree() {
         let xs = halton_points(d, 64);
         let single: Vec<f64> = xs.chunks_exact(d).map(|x| evaluate(&g, x)).collect();
         assert_eq!(single, evaluate_batch(&g, &xs), "batch d={d}");
-        assert_eq!(single, evaluate_batch_blocked(&g, &xs, 7), "blocked d={d}");
+        assert_eq!(single, evaluate_batch_parallel(&g, &xs, 7), "blocked d={d}");
         assert_eq!(
             single,
             evaluate_batch_parallel(&g, &xs, 16),

@@ -2,11 +2,13 @@
 //!
 //! The SIMD kernels (`sg_core::kernel`) are transcriptions — not
 //! reassociations — of the scalar arithmetic, so their results must be
-//! **bit-identical** on every batch size straddling a lane boundary, at
-//! every dimensionality, and under every thread count. On hosts without
-//! a SIMD extension `detect()` degrades to the scalar kernel and the
-//! matrix passes trivially (the CI AVX2 leg provides the real coverage).
+//! **bit-identical** on every batch size straddling a lane boundary or
+//! the inline/pool split, at every dimensionality, under every thread
+//! count, for `f64` and `f32` grids. On hosts without a SIMD extension
+//! `detect()` degrades to the scalar kernel and the matrix passes
+//! trivially (the CI AVX2 leg provides the real coverage).
 
+use sg_core::evaluate::BLOCK;
 use sg_core::kernel::{detect, parse_select, with_kernel, KernelError, KernelKind, KernelSelect};
 use sg_core::prelude::*;
 
@@ -18,16 +20,31 @@ fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
     THREADS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn surplus_grid(spec: GridSpec) -> CompactGrid<f64> {
+fn surplus_grid<T: Real>(spec: GridSpec) -> CompactGrid<T> {
     let mut g = CompactGrid::from_fn(spec, |x| {
-        x.iter()
-            .enumerate()
-            .map(|(t, &v)| (t as f64 + 1.0) * v * (1.0 - v))
-            .sum::<f64>()
-            + x.iter().product::<f64>()
+        T::from_f64(
+            x.iter()
+                .enumerate()
+                .map(|(t, &v)| (t as f64 + 1.0) * v * (1.0 - v))
+                .sum::<f64>()
+                + x.iter().product::<f64>(),
+        )
     });
     hierarchize(&mut g);
     g
+}
+
+/// `evaluate_batch_into` against `plan`, into a NaN-filled buffer so a
+/// point it skips cannot pass as a result; widened to `f64`, which is
+/// exact and keeps `f32` bit patterns distinct.
+fn into<T: Real>(grid: &CompactGrid<T>, xs: &[f64], block: usize, plan: &EvalPlan) -> Vec<f64> {
+    let mut out = vec![T::from_f64(f64::NAN); xs.len() / grid.spec().dim()];
+    evaluate_batch_into(grid, xs, block, plan, &mut out);
+    widen(&out)
+}
+
+fn widen<T: Real>(v: &[T]) -> Vec<f64> {
+    v.iter().map(|x| x.to_f64()).collect()
 }
 
 /// Deterministic in-domain query points (dyadic-adjacent, so basis
@@ -51,33 +68,55 @@ fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
 
 #[test]
 fn evaluation_matrix_is_bitwise_identical_across_kernels_and_threads() {
+    evaluation_matrix::<f64>();
+}
+
+#[test]
+fn f32_evaluation_matrix_is_bitwise_identical_across_kernels_and_threads() {
+    evaluation_matrix::<f32>();
+}
+
+fn evaluation_matrix<T: Real>() {
     let _lock = threads_lock();
     let simd = detect();
     let lane = simd.lanes().max(2);
-    // Batch sizes straddling the lane boundary plus the spec'd fixed
-    // sizes; 65 is never a lane multiple for lanes ∈ {2, 4, 8}.
-    let sizes = [0, 1, lane - 1, lane, lane + 1, 7, 64, 65];
+    // Batch sizes straddling the lane boundary, the spec'd fixed size 7,
+    // and sizes either side of the inline/pool split at `BLOCK`: a batch
+    // of at most one block runs inline, a larger one on the pool.
+    // `BLOCK + 1` is never a lane multiple for lanes ∈ {2, 4, 8}.
+    let sizes = [
+        0,
+        1,
+        lane - 1,
+        lane,
+        lane + 1,
+        7,
+        BLOCK - 1,
+        BLOCK,
+        BLOCK + 1,
+        2 * BLOCK + 3,
+    ];
     for d in 1..=5usize {
         let levels = if d <= 3 { 5 } else { 3 };
         let spec = GridSpec::new(d, levels);
-        let grid = surplus_grid(spec);
+        let grid = surplus_grid::<T>(spec);
         let plan = EvalPlan::new(&spec);
         for &k in &sizes {
             let xs = queries(d, k);
-            let reference = evaluate_batch(&grid, &xs);
+            let reference = widen(&evaluate_batch(&grid, &xs));
             for threads in [1usize, 2, 8] {
                 sg_par::set_num_threads(threads);
-                for block in [lane, 7, k.max(1)] {
+                for block in [lane, 7, BLOCK, k.max(1)] {
                     let scalar = with_kernel(KernelSelect::Force(KernelKind::Scalar), || {
                         (
-                            evaluate_batch_blocked_with_plan(&grid, &xs, block, &plan),
-                            evaluate_batch_parallel(&grid, &xs, block),
+                            into(&grid, &xs, block, &plan),
+                            widen(&evaluate_batch_parallel(&grid, &xs, block)),
                         )
                     });
                     let vector = with_kernel(KernelSelect::Force(simd), || {
                         (
-                            evaluate_batch_blocked_with_plan(&grid, &xs, block, &plan),
-                            evaluate_batch_parallel(&grid, &xs, block),
+                            into(&grid, &xs, block, &plan),
+                            widen(&evaluate_batch_parallel(&grid, &xs, block)),
                         )
                     });
                     let what = format!("d={d} k={k} threads={threads} block={block}");
@@ -176,7 +215,8 @@ fn parallel_sampler_matches_sequential_across_chunk_seams_and_threads() {
 fn empty_batch_and_single_subspace_edges() {
     let simd = detect();
     // Empty batch: every kernel and entry point returns an empty vector.
-    let grid = surplus_grid(GridSpec::new(3, 4));
+    let spec = GridSpec::new(3, 4);
+    let grid = surplus_grid::<f64>(spec);
     for sel in [
         KernelSelect::Auto,
         KernelSelect::Force(KernelKind::Scalar),
@@ -184,7 +224,7 @@ fn empty_batch_and_single_subspace_edges() {
     ] {
         let (blocked, par) = with_kernel(sel, || {
             (
-                evaluate_batch_blocked(&grid, &[], 8),
+                into(&grid, &[], 8, &EvalPlan::new(&spec)),
                 evaluate_batch_parallel(&grid, &[], 8),
             )
         });
@@ -205,7 +245,7 @@ fn empty_batch_and_single_subspace_edges() {
     let vector = with_kernel(KernelSelect::Force(simd), || {
         let mut g = nodal.clone();
         hierarchize(&mut g);
-        evaluate_batch_blocked(&g, &xs, 4)
+        evaluate_batch_parallel(&g, &xs, 4)
     });
     assert_bitwise(&vector, &reference, "single-subspace");
 }

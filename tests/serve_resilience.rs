@@ -64,12 +64,10 @@ fn expired_deadline_is_typed_over_the_wire() {
     sg_io::write_snapshot_file(&g, &path, "resilience-test").unwrap();
     let fleet = Fleet::new(4);
     fleet.load("m", &path).unwrap();
-    // Force inline (single-threaded) evaluation and allow quarter-million
-    // point jobs so each batch holds the executor for a deterministic
-    // stretch even in release builds — the probe's 1 ms deadline must
-    // expire in the queue, not race the sg-par pool.
+    // Allow quarter-million point jobs so each batch holds the executor
+    // for a long stretch even in release builds — the probe's 1 ms
+    // deadline must expire in the queue.
     let cfg = ServeConfig {
-        par_min_points: usize::MAX,
         batch_max_points: 1 << 18,
         ..ServeConfig::default()
     };
