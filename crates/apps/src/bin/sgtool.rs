@@ -13,6 +13,7 @@ use sg_baselines::StoreKind;
 use sg_core::evaluate::BLOCK;
 use sg_core::prelude::*;
 use sg_core::quadrature::integrate;
+use sg_io::SnapshotSource;
 use std::process::ExitCode;
 
 /// Exit-code taxonomy, pinned by `tests/cli.rs`: scripts can distinguish
@@ -385,20 +386,29 @@ fn parse_point(s: &str, d: usize) -> Result<Vec<f64>, String> {
 }
 
 /// Read a grid file, sniffing the format: `SGC2` snapshots decode
-/// through the strict sectioned reader (a damaged one is a corrupt-data
-/// error enumerating the lost groups), anything else through the legacy
-/// `SGC1` codec.
+/// through the strict sectioned reader straight from the file (a damaged
+/// one is a corrupt-data error enumerating the lost groups), anything
+/// else through the legacy `SGC1` codec.
 fn load(args: &[String]) -> Result<CompactGrid<f64>, CliError> {
     let path = *positional(args)
         .first()
         .ok_or_else(|| CliError::usage("missing grid file argument"))?;
-    let blob = std::fs::read(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
-    if blob.starts_with(&sg_io::SNAP_MAGIC) {
-        sg_io::read_snapshot(&blob)
+    let file = open(path)?;
+    let mut magic = [0u8; 4];
+    if file.read_exact_at(&mut magic, 0).is_ok() && magic == sg_io::SNAP_MAGIC {
+        sg_io::recover_snapshot_from(&file)
+            .and_then(|r| r.grid.into_complete())
             .map_err(|e| CliError::corrupt(format!("cannot read snapshot {path}: {e}")))
     } else {
+        let blob =
+            std::fs::read(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
         sg_io::decode(&blob).map_err(|e| CliError::corrupt(format!("cannot decode {path}: {e}")))
     }
+}
+
+/// Open a file for reading; failing to is an I/O error.
+fn open(path: &str) -> Result<std::fs::File, CliError> {
+    std::fs::File::open(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))
 }
 
 /// Shared by compress/checkpoint: build a hierarchized grid from
@@ -474,9 +484,7 @@ fn cmd_restore(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or_else(|| CliError::usage("missing snapshot file argument"))?;
     let out = flag(args, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let bytes =
-        std::fs::read(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
-    let recovery = sg_io::recover_snapshot::<f64>(&bytes)
+    let recovery = sg_io::recover_snapshot_from::<f64>(&open(path)?)
         .map_err(|e| CliError::corrupt(format!("cannot recover {path}: {e}")))?;
     if recovery.used_footer {
         println!("header corrupt; identity recovered from the footer copy");
@@ -523,9 +531,7 @@ fn cmd_verify(args: &[String]) -> Result<(), CliError> {
     let path = *positional(args)
         .first()
         .ok_or_else(|| CliError::usage("missing snapshot file argument"))?;
-    let bytes =
-        std::fs::read(path).map_err(|e| CliError::io(format!("cannot read {path}: {e}")))?;
-    let (info, sections, used_footer) = sg_io::verify_snapshot(&bytes)
+    let (info, sections, used_footer) = sg_io::verify_snapshot(&open(path)?)
         .map_err(|e| CliError::corrupt(format!("cannot verify {path}: {e}")))?;
     println!(
         "{path}: SGC2 v{} d={} level {} ({} points, {}, provenance {:?})",

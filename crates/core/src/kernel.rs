@@ -12,7 +12,7 @@
 //! 1. a process-wide override installed by [`with_kernel`] (tests and
 //!    the differential fuzzer pin each path this way), else
 //! 2. the `SG_KERNEL` environment variable (`auto`, `scalar`, `avx2`,
-//!    `neon`), else
+//!    `neon`), read once per process, else
 //! 3. `auto`: the widest ISA the host supports.
 //!
 //! Every kernel is **bitwise identical** to the scalar reference —
@@ -28,7 +28,7 @@
 //! degrades to scalar instead of panicking.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 #[allow(unused_imports)] // the import is "unused" when `telemetry` is off
 use crate::tel;
@@ -150,8 +150,10 @@ pub fn detect() -> KernelKind {
 }
 
 /// The selection requested by the `SG_KERNEL` environment variable
-/// (unset or empty means `Auto`). Re-read on every dispatch, like
-/// `SG_PAR_THREADS`, so tests and embedders can change it at runtime.
+/// (unset or empty means `Auto`), read afresh on every call. Dispatch
+/// does not call this: it reads the variable once per process (see
+/// [`resolve`]), because reading it allocates and the serving path must
+/// not; [`with_kernel`] is the runtime override.
 pub fn from_env() -> Result<KernelSelect, KernelError> {
     match std::env::var("SG_KERNEL") {
         Ok(v) => parse_select(&v),
@@ -162,6 +164,8 @@ pub fn from_env() -> Result<KernelSelect, KernelError> {
 // Process-wide override installed by `with_kernel`:
 // 0 = none, 1 = Auto, 2..=4 = Force(Scalar/Avx2/Neon).
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// `SG_KERNEL` as first read by this process.
+static ENV_SELECT: OnceLock<Result<KernelSelect, KernelError>> = OnceLock::new();
 /// Serializes `with_kernel` scopes (and the env-twiddling dispatch
 /// tests) so two forced scopes cannot interleave. The kernels are
 /// bitwise identical, so even an unlocked race could not corrupt a
@@ -204,13 +208,14 @@ pub fn with_kernel<R>(sel: KernelSelect, f: impl FnOnce() -> R) -> R {
 }
 
 /// Resolve the current selection to a runnable kernel: the
-/// [`with_kernel`] override if one is active, else [`from_env`], with
-/// `Auto` lowered through [`detect`]. Forcing an ISA the host lacks is
+/// [`with_kernel`] override if one is active, else [`from_env`] as read
+/// on the process's first dispatch, with `Auto` lowered through
+/// [`detect`]. Forcing an ISA the host lacks is
 /// a typed error, not a silent downgrade.
 pub fn resolve() -> Result<KernelKind, KernelError> {
     let sel = match decode(OVERRIDE.load(Ordering::SeqCst)) {
         Some(sel) => sel,
-        None => from_env()?,
+        None => ENV_SELECT.get_or_init(from_env).clone()?,
     };
     match sel {
         KernelSelect::Auto => Ok(detect()),

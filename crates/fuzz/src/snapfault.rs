@@ -231,8 +231,21 @@ fn check_recovery(
     Ok(FaultOutcome::PartialRecovery { lost_groups: lost })
 }
 
-/// Run one seeded fault-injection case.
-pub fn run_case(class: FaultClass, seed: u64) -> Result<FaultOutcome, String> {
+/// The seeded grid and function of case `seed`, and the bytes a reader
+/// observes after fault `class` struck its checkpoint (`None` when the
+/// fault correctly prevented publication).
+#[allow(clippy::type_complexity)]
+fn published_case(
+    class: FaultClass,
+    seed: u64,
+) -> Result<
+    (
+        CompactGrid<f64>,
+        impl Fn(&[f64]) -> f64 + Clone,
+        Option<Vec<u8>>,
+    ),
+    String,
+> {
     let mut rng = Rng::new(seed);
     let (grid, f) = seeded_grid(&mut rng);
     let mut sink = MemorySink::new();
@@ -255,9 +268,14 @@ pub fn run_case(class: FaultClass, seed: u64) -> Result<FaultOutcome, String> {
             write_snapshot(&newer, sink, "snapfault-lost-dirent")
         },
     )?;
-    match published {
-        None => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
-        Some(bytes) => check_recovery(&grid, &f, &bytes),
+    Ok((grid, f, published))
+}
+
+/// Run one seeded fault-injection case.
+pub fn run_case(class: FaultClass, seed: u64) -> Result<FaultOutcome, String> {
+    match published_case(class, seed)? {
+        (_, _, None) => Ok(FaultOutcome::CleanError("write failed cleanly".into())),
+        (grid, f, Some(bytes)) => check_recovery(&grid, &f, &bytes),
     }
 }
 
@@ -296,6 +314,54 @@ mod tests {
         let a = run_case(FaultClass::BitFlip, 0x1234_5678).unwrap();
         let b = run_case(FaultClass::BitFlip, 0x1234_5678).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Recovery from a file and from memory is one routine over two
+    /// sources: at every snapshot canary of the campaign corpus they must
+    /// agree on the lost groups, every coefficient bit and the typed error.
+    #[test]
+    fn file_and_memory_recovery_agree_at_the_canary_seeds() {
+        let corpus = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/campaign_seeds.txt"
+        );
+        let text = std::fs::read_to_string(corpus).expect("corpus file readable");
+        let path =
+            std::env::temp_dir().join(format!("sg-snapfault-diff-{}.sgcs", std::process::id()));
+        let mut classes = std::collections::BTreeSet::new();
+        for raw in text.lines() {
+            let Some(line) = crate::CorpusLine::parse(raw).unwrap() else {
+                continue;
+            };
+            if line.campaign.name != CAMPAIGN.name {
+                continue;
+            }
+            classes.insert(line.class);
+            let (_, _, published) = published_case(FaultClass::ALL[line.class], line.seed).unwrap();
+            let Some(bytes) = published else { continue };
+            std::fs::write(&path, &bytes).unwrap();
+            let file = std::fs::File::open(&path).unwrap();
+            let from_file = sg_io::recover_snapshot_from::<f64>(&file);
+            let from_bytes = recover_snapshot::<f64>(&bytes);
+            match (from_file, from_bytes) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.grid.lost_groups(), b.grid.lost_groups(), "{line}");
+                    assert_eq!(a.sections, b.sections, "{line}");
+                    assert_eq!((&a.info, a.used_footer), (&b.info, b.used_footer), "{line}");
+                    let bits = |r: &sg_io::Recovery<f64>| -> Vec<u64> {
+                        r.grid.grid().values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&a), bits(&b), "{line}");
+                }
+                (a, b) => assert_eq!(a.err(), b.err(), "{line}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            classes.len(),
+            FaultClass::ALL.len(),
+            "a class lost its canary"
+        );
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub use manifest::{
     ComponentMeta, ComponentSetInfo, ComponentSetRecovery, MANIFEST_MAGIC, MANIFEST_VERSION,
 };
 pub use snapshot::{
-    crc64, encode_snapshot, read_snapshot, read_snapshot_file, recover_snapshot,
-    section_boundaries, verify_snapshot, write_snapshot, write_snapshot_file, DegradedGrid,
-    FaultSink, FileSink, MemorySink, Recovery, SectionReport, SectionStatus, SnapshotInfo,
-    SnapshotSink, WriteFault, SNAP_MAGIC, SNAP_VERSION,
+    crc64, crc64_combine, crc64_update, encode_snapshot, read_snapshot, read_snapshot_file,
+    recover_snapshot, recover_snapshot_from, section_boundaries, verify_snapshot, write_snapshot,
+    write_snapshot_file, DegradedGrid, FaultSink, FileSink, MemorySink, Recovery, SectionReport,
+    SectionStatus, SnapshotInfo, SnapshotSink, SnapshotSource, WriteFault, SNAP_MAGIC,
+    SNAP_VERSION,
 };
 
 /// Format magic.

@@ -46,8 +46,8 @@
 //! verification reports it as lost rather than as a silent zero grid.
 
 use crate::snapshot::{
-    crc64, decode_payload, encode_section, verify_section, SectionReport, SectionStatus,
-    SnapshotSink, MAX_PROVENANCE, SECTION_CRC, SECTION_FIXED, SECTION_MARKER, TRAILER_LEN,
+    crc64, read_section, write_section, write_tombstone_section, SectionReport, SectionStatus,
+    SnapshotSink, MAX_PROVENANCE, SECTION_CRC, SECTION_FIXED, TRAILER_LEN,
 };
 use crate::type_tag;
 use sg_core::error::SgError;
@@ -351,14 +351,15 @@ pub fn write_component_set<T: Real>(
     for (k, (meta, values)) in components.iter().enumerate() {
         match values {
             Some(v) => {
-                sink.write(&encode_section(k, v))?;
+                write_section(sink, k, v)?;
                 tel! { MAN_COMPONENTS_WRITTEN.add(1); }
             }
             None => {
-                sink.write(&tombstone_section::<T>(
-                    k,
-                    meta.num_values().unwrap() as usize,
-                ))?;
+                // A dropped component keeps its full-length slot, so later
+                // section offsets stay computable, but its deliberately
+                // wrong CRC makes it read as lost, never as a zero grid.
+                let payload_len = meta.num_values().unwrap() as usize * T::size_bytes();
+                write_tombstone_section(sink, k, payload_len)?;
                 tel! { MAN_TOMBSTONES_WRITTEN.add(1); }
             }
         }
@@ -372,23 +373,6 @@ pub fn write_component_set<T: Real>(
     Ok(())
 }
 
-/// A full-length section whose payload is zeroed and whose CRC is
-/// deliberately complemented: structurally it occupies exactly the bytes
-/// a real section would (so later section offsets stay computable), but
-/// verification always reports `ChecksumMismatch` — a dropped component
-/// must read as *lost*, never as a silent zero grid.
-fn tombstone_section<T: Real>(component: usize, num_values: usize) -> Vec<u8> {
-    let payload_len = num_values * T::size_bytes();
-    let mut buf = Vec::with_capacity(SECTION_FIXED + payload_len + SECTION_CRC);
-    buf.extend_from_slice(&SECTION_MARKER);
-    buf.extend_from_slice(&(component as u32).to_le_bytes());
-    buf.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    buf.resize(SECTION_FIXED + payload_len, 0);
-    let crc = !crc64(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
-}
-
 /// Recover everything salvageable from a component-set manifest.
 ///
 /// Section offsets are recomputed from the metadata table (not from the
@@ -398,6 +382,17 @@ fn tombstone_section<T: Real>(component: usize, num_values: usize) -> Vec<u8> {
 /// through [`ComponentSetRecovery::info`].
 pub fn recover_component_set<T: Real>(bytes: &[u8]) -> Result<ComponentSetRecovery<T>, SgError> {
     let (info, hlen, used_footer) = manifest_identity(bytes)?;
+    recover_components(bytes, info, hlen, used_footer)
+}
+
+/// Verify and decode every component section of `bytes` (identity
+/// already parsed), one pass per section.
+fn recover_components<T: Real>(
+    bytes: &[u8],
+    info: ComponentSetInfo,
+    hlen: usize,
+    used_footer: bool,
+) -> Result<ComponentSetRecovery<T>, SgError> {
     if info.value_type != type_tag::<T>() {
         return Err(SgError::Corrupt(format!(
             "value type tag {} does not match the requested scalar type (tag {})",
@@ -410,12 +405,9 @@ pub fn recover_component_set<T: Real>(bytes: &[u8]) -> Result<ComponentSetRecove
     let mut offset = hlen;
     for (k, meta) in info.components.iter().enumerate() {
         let points = meta.num_values().expect("validated by manifest_identity");
-        let payload_len = points as usize * T::size_bytes();
-        let status = verify_section(bytes, offset, k, payload_len);
+        let mut values = vec![T::ZERO; points as usize];
+        let status = read_section(bytes, bytes.len() as u64, offset as u64, k, &mut values)?;
         if status == SectionStatus::Intact {
-            let payload = &bytes[offset + SECTION_FIXED..offset + SECTION_FIXED + payload_len];
-            let mut values = vec![T::ZERO; points as usize];
-            decode_payload::<T>(payload, &mut values);
             payloads.push(Some(values));
             tel! { MAN_COMPONENTS_VERIFIED.add(1); }
         } else {
@@ -428,7 +420,7 @@ pub fn recover_component_set<T: Real>(bytes: &[u8]) -> Result<ComponentSetRecove
             points,
             offset,
         });
-        offset += SECTION_FIXED + payload_len + SECTION_CRC;
+        offset += SECTION_FIXED + points as usize * T::size_bytes() + SECTION_CRC;
     }
     Ok(ComponentSetRecovery {
         info,
@@ -438,33 +430,16 @@ pub fn recover_component_set<T: Real>(bytes: &[u8]) -> Result<ComponentSetRecove
     })
 }
 
-/// Verify a manifest without materializing any payload: identity plus a
-/// per-section status table. Works for either value type.
+/// Verify a manifest of either value type: identity plus a per-section
+/// status table. The payloads are decoded to check them, then dropped.
 pub fn verify_component_set(
     bytes: &[u8],
 ) -> Result<(ComponentSetInfo, Vec<SectionReport>, bool), SgError> {
     let (info, hlen, used_footer) = manifest_identity(bytes)?;
-    let width = if info.value_type == 0 { 4 } else { 8 };
-    let mut sections = Vec::with_capacity(info.components.len());
-    let mut offset = hlen;
-    for (k, meta) in info.components.iter().enumerate() {
-        let points = meta.num_values().expect("validated by manifest_identity");
-        let payload_len = points as usize * width;
-        let status = verify_section(bytes, offset, k, payload_len);
-        tel! {
-            match status {
-                SectionStatus::Intact => MAN_COMPONENTS_VERIFIED.add(1),
-                _ => MAN_COMPONENTS_CORRUPT.add(1),
-            }
-        }
-        sections.push(SectionReport {
-            group: k,
-            status,
-            points,
-            offset,
-        });
-        offset += SECTION_FIXED + payload_len + SECTION_CRC;
-    }
+    let sections = match info.value_type {
+        0 => recover_components::<f32>(bytes, info.clone(), hlen, used_footer)?.sections,
+        _ => recover_components::<f64>(bytes, info.clone(), hlen, used_footer)?.sections,
+    };
     Ok((info, sections, used_footer))
 }
 

@@ -42,7 +42,7 @@
 //! Every section offset is *computable from the spec alone*, so a corrupt
 //! section never prevents locating the next one, and the duplicated
 //! header (footer) means a damaged prefix still yields the spec. Recovery
-//! ([`recover_snapshot`]) therefore ends in exactly one of three states:
+//! ([`recover_snapshot_from`]) therefore ends in exactly one of three states:
 //! full recovery (bitwise-identical coefficients), a [`DegradedGrid`]
 //! that enumerates the lost level groups (coarse groups carry most of
 //! the interpolant mass, so degraded evaluation stays bounded), or a
@@ -51,6 +51,12 @@
 //! Writing goes through a pluggable [`SnapshotSink`]; the file-backed
 //! [`FileSink`] is atomic (temp file → flush → rename), and tests inject
 //! ENOSPC, torn writes, truncation, and bit flips via [`FaultSink`].
+//! Reading goes through a positional [`SnapshotSource`] (a file or a
+//! byte slice). Neither direction stages a section: the writer streams
+//! each payload from the coefficient slice, and recovery reads each one
+//! straight into its range of the grid. Large payloads are checksummed
+//! chunk by chunk on the sg-par pool, and the chunk CRCs are joined with
+//! [`crc64_combine`].
 
 use crate::type_tag;
 use sg_core::error::SgError;
@@ -150,7 +156,7 @@ static CRC64_SLICES: [[u64; 256]; 16] = {
 };
 
 /// Advance the raw CRC register one byte at a time. Serves as the tail
-/// of [`crc64`] and as the reference it is tested against.
+/// of [`crc64_update`] and as the reference it is tested against.
 fn crc64_bytewise(mut crc: u64, data: &[u8]) -> u64 {
     for &b in data {
         crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
@@ -158,14 +164,15 @@ fn crc64_bytewise(mut crc: u64, data: &[u8]) -> u64 {
     crc
 }
 
-/// CRC-64/XZ over a byte slice (init and xor-out `!0`).
+/// Advance the raw CRC-64/XZ register `crc` over `data` (no init, no
+/// xor-out: `crc64(d) == !crc64_update(!0, d)`), so one checksum can be
+/// streamed over pieces that are never contiguous in memory.
 ///
 /// Slicing-by-16: each 16-byte block is folded into the register with
 /// sixteen independent table lookups instead of sixteen dependent ones;
 /// the last `len % 16` bytes go through the byte loop. Bit-identical to
 /// the byte-at-a-time definition.
-pub fn crc64(data: &[u8]) -> u64 {
-    let mut crc = !0u64;
+pub fn crc64_update(mut crc: u64, data: &[u8]) -> u64 {
     let mut blocks = data.chunks_exact(16);
     for block in &mut blocks {
         let lo = u64::from_le_bytes(block[..8].try_into().unwrap()) ^ crc;
@@ -176,7 +183,71 @@ pub fn crc64(data: &[u8]) -> u64 {
                 ^ CRC64_SLICES[7 - j][((hi >> (8 * j)) & 0xFF) as usize];
         }
     }
-    !crc64_bytewise(crc, blocks.remainder())
+    crc64_bytewise(crc, blocks.remainder())
+}
+
+/// CRC-64/XZ over a byte slice (init and xor-out `!0`).
+pub fn crc64(data: &[u8]) -> u64 {
+    !crc64_update(!0, data)
+}
+
+/// The reflected CRC-64/XZ polynomial.
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// `a · b mod P` for polynomials in the reflected bit order of the CRC
+/// register (bit 63 is `x⁰`), as zlib's `multmodp`.
+const fn multmodp(a: u64, mut b: u64) -> u64 {
+    let mut m = 1u64 << 63;
+    let mut p = 0u64;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC64_POLY
+        } else {
+            b >> 1
+        };
+    }
+}
+
+/// `X2N[k] = x^(2^k) mod P`, built at compile time by repeated squaring.
+const X2N: [u64; 64] = {
+    let mut table = [0u64; 64];
+    let mut p = 1u64 << 62; // x¹
+    let mut k = 0;
+    while k < 64 {
+        table[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// `x^(8·len) mod P`: the factor that shifts a CRC past `len` bytes
+/// (`len < 2⁶¹`).
+const fn shift_bytes(mut len: u64) -> u64 {
+    let mut p = 1u64 << 63; // x⁰
+    let mut k = 3; // 8 = 2³ bits per byte
+    while len != 0 {
+        if len & 1 != 0 {
+            p = multmodp(X2N[k], p);
+        }
+        len >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-64/XZ of `a ‖ b` from `crc1 = crc64(a)`, `crc2 = crc64(b)`
+/// and `len2 = b.len()` (zlib's `crc32_combine` scheme): one polynomial
+/// multiply per set bit of `len2`, no pass over the data.
+pub fn crc64_combine(crc1: u64, crc2: u64, len2: u64) -> u64 {
+    multmodp(shift_bytes(len2), crc1) ^ crc2
 }
 
 // ---------------------------------------------------------------------------
@@ -540,21 +611,140 @@ fn parse_footer(bytes: &[u8]) -> Option<(SnapshotInfo, usize)> {
 // Writing
 // ---------------------------------------------------------------------------
 
-pub(crate) fn encode_section<T: Real>(group: usize, values: &[T]) -> Vec<u8> {
-    let payload_len = values.len() * T::size_bytes();
-    let mut buf = Vec::with_capacity(SECTION_FIXED + payload_len + SECTION_CRC);
-    buf.extend_from_slice(&SECTION_MARKER);
-    buf.extend_from_slice(&(group as u32).to_le_bytes());
-    buf.extend_from_slice(&(payload_len as u64).to_le_bytes());
-    for &v in values {
-        match T::size_bytes() {
-            4 => buf.extend_from_slice(&(v.to_f64() as f32).to_le_bytes()),
-            _ => buf.extend_from_slice(&v.to_f64().to_le_bytes()),
+/// A section payload at least this long is checksummed in chunks on the
+/// sg-par pool; a shorter one inline. The finest level groups of a grid
+/// several times L2 clear it, the sections of an L2-resident grid do not.
+const POOL_MIN_BYTES: usize = 1 << 20;
+/// Bytes per pooled chunk: a pooled payload gives each of a few workers
+/// several chunks to claim.
+const CHUNK_BYTES: usize = 256 << 10;
+/// [`shift_bytes`] of one whole chunk, hoisted so each join of a pooled
+/// fold is one polynomial multiply.
+const CHUNK_SHIFT: u64 = shift_bytes(CHUNK_BYTES as u64);
+
+/// Continue the CRC register `crc` over `len` bytes whose chunks
+/// (`CHUNK_BYTES` each, the last one shorter) have the CRCs `chunk_crcs`.
+fn fold_chunk_crcs(crc: u64, chunk_crcs: impl IntoIterator<Item = u64>, len: usize) -> u64 {
+    let mut acc = !crc;
+    let mut left = len;
+    for chunk_crc in chunk_crcs {
+        let n = left.min(CHUNK_BYTES);
+        acc = if n == CHUNK_BYTES {
+            multmodp(CHUNK_SHIFT, acc) ^ chunk_crc
+        } else {
+            crc64_combine(acc, chunk_crc, n as u64)
+        };
+        left -= n;
+    }
+    !acc
+}
+
+/// [`crc64_update`] over a section payload, chunk CRCs on the pool when
+/// the payload is large enough to pay for a region.
+fn crc64_update_payload(crc: u64, payload: &[u8]) -> u64 {
+    if payload.len() < POOL_MIN_BYTES {
+        return crc64_update(crc, payload);
+    }
+    let chunks = payload.len().div_ceil(CHUNK_BYTES);
+    let chunk_crcs = sg_par::par_map_indexed_grained(chunks, 1, "io.snapshot.crc", None, |ci| {
+        let start = ci * CHUNK_BYTES;
+        crc64(&payload[start..(start + CHUNK_BYTES).min(payload.len())])
+    });
+    fold_chunk_crcs(crc, chunk_crcs, payload.len())
+}
+
+/// True for the two types `Real` is implemented for.
+fn is_float<T: Real>() -> bool {
+    use std::any::TypeId;
+    TypeId::of::<T>() == TypeId::of::<f32>() || TypeId::of::<T>() == TypeId::of::<f64>()
+}
+
+/// The in-memory bytes of a coefficient slice.
+fn value_bytes<T: Real>(values: &[T]) -> &[u8] {
+    assert!(is_float::<T>(), "SGC2 stores f32 or f64 coefficients");
+    // SAFETY: `T` is `f32` or `f64` (checked above): no padding, and the
+    // byte view covers exactly the slice's memory for its lifetime.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast(), std::mem::size_of_val(values)) }
+}
+
+/// [`value_bytes`] for writing into: any byte pattern is a valid float.
+fn value_bytes_mut<T: Real>(values: &mut [T]) -> &mut [u8] {
+    assert!(is_float::<T>(), "SGC2 stores f32 or f64 coefficients");
+    let len = std::mem::size_of_val(values);
+    // SAFETY: as in `value_bytes`; every bit pattern is a valid `f32` or
+    // `f64`, so writes through the view cannot create an invalid value.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), len) }
+}
+
+/// Convert values stored as native-endian bytes to little-endian (or
+/// back): a no-op on little-endian targets.
+fn swap_to_le<T: Real>(bytes: &mut [u8]) {
+    if cfg!(target_endian = "big") {
+        for value in bytes.chunks_exact_mut(T::size_bytes()) {
+            value.reverse();
         }
     }
-    let crc = crc64(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf
+}
+
+/// The little-endian payload of `values`: the coefficient memory itself
+/// on little-endian targets, a swapped copy elsewhere.
+fn le_payload<T: Real>(values: &[T]) -> std::borrow::Cow<'_, [u8]> {
+    let bytes = value_bytes(values);
+    if cfg!(target_endian = "little") {
+        return std::borrow::Cow::Borrowed(bytes);
+    }
+    let mut owned = bytes.to_vec();
+    swap_to_le::<T>(&mut owned);
+    std::borrow::Cow::Owned(owned)
+}
+
+/// Marker, group index and payload length: the bytes before a payload.
+fn section_prefix(group: usize, payload_len: usize) -> [u8; SECTION_FIXED] {
+    let mut prefix = [0u8; SECTION_FIXED];
+    prefix[..4].copy_from_slice(&SECTION_MARKER);
+    prefix[4..8].copy_from_slice(&(group as u32).to_le_bytes());
+    prefix[8..].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    prefix
+}
+
+/// Stream one section into `sink` straight from the coefficient slice:
+/// prefix, payload and CRC go out as three writes, with no staging copy
+/// of the payload. Returns the bytes written.
+pub(crate) fn write_section<T: Real>(
+    sink: &mut dyn SnapshotSink,
+    group: usize,
+    values: &[T],
+) -> std::io::Result<usize> {
+    let payload = le_payload(values);
+    let prefix = section_prefix(group, payload.len());
+    let crc = !crc64_update_payload(crc64_update(!0, &prefix), &payload);
+    sink.write(&prefix)?;
+    sink.write(&payload)?;
+    sink.write(&crc.to_le_bytes())?;
+    Ok(SECTION_FIXED + payload.len() + SECTION_CRC)
+}
+
+/// Stream a section of `payload_len` zero bytes whose CRC is
+/// complemented, so it always reads back as
+/// [`SectionStatus::ChecksumMismatch`].
+pub(crate) fn write_tombstone_section(
+    sink: &mut dyn SnapshotSink,
+    group: usize,
+    payload_len: usize,
+) -> std::io::Result<()> {
+    static ZEROS: [u8; 4096] = [0; 4096];
+    let prefix = section_prefix(group, payload_len);
+    sink.write(&prefix)?;
+    let mut crc = crc64_update(!0, &prefix);
+    let mut left = payload_len;
+    while left > 0 {
+        let n = left.min(ZEROS.len());
+        crc = crc64_update(crc, &ZEROS[..n]);
+        sink.write(&ZEROS[..n])?;
+        left -= n;
+    }
+    // `!crc` would be the true CRC; the tombstone stores its complement.
+    sink.write(&crc.to_le_bytes())
 }
 
 /// Stream a sectioned snapshot of `grid` into `sink`: header, one section
@@ -593,9 +783,7 @@ pub fn write_snapshot<T: Real>(
             .values()
             .get(r.start as usize..r.end as usize)
             .ok_or_else(|| SgError::Corrupt("grid value array shorter than its spec".into()))?;
-        let section = encode_section(n, values);
-        total += section.len();
-        sink.write(&section)?;
+        total += write_section(sink, n, values)?;
         tel! { SNAP_SECTIONS_WRITTEN.add(1); }
     }
     let mut tail = header.clone();
@@ -633,6 +821,58 @@ pub fn write_snapshot_file<T: Real>(
 // ---------------------------------------------------------------------------
 // Reading / recovery
 // ---------------------------------------------------------------------------
+
+/// A snapshot's bytes, read by position: recovery fetches each section
+/// where it lies, straight into its range of the value array.
+/// Implemented for an in-memory `[u8]` and for a [`std::fs::File`]
+/// (`pread`, no whole-file buffer).
+pub trait SnapshotSource {
+    /// Total length in bytes.
+    fn byte_len(&self) -> std::io::Result<u64>;
+    /// Fill `buf` with the bytes at `offset`; an `UnexpectedEof` error
+    /// if the source ends first.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+}
+
+impl SnapshotSource for [u8] {
+    fn byte_len(&self) -> std::io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        let bytes = usize::try_from(offset)
+            .ok()
+            .and_then(|start| self.get(start..start.checked_add(buf.len())?))
+            .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(bytes);
+        Ok(())
+    }
+}
+
+impl SnapshotSource for std::fs::File {
+    fn byte_len(&self) -> std::io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, mut buf: &mut [u8], mut offset: u64) -> std::io::Result<()> {
+        while !buf.is_empty() {
+            match std::os::windows::fs::FileExt::seek_read(self, buf, offset)? {
+                0 => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                n => {
+                    buf = &mut buf[n..];
+                    offset += n as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Verification outcome of one section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -752,24 +992,50 @@ pub struct Recovery<T> {
     pub info: SnapshotInfo,
 }
 
+/// Up to `len` bytes of `src` from `offset` (fewer where it ends).
+fn read_window(
+    src: &(impl SnapshotSource + ?Sized),
+    src_len: u64,
+    offset: u64,
+    len: usize,
+) -> std::io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; src_len.saturating_sub(offset).min(len as u64) as usize];
+    src.read_exact_at(&mut buf, offset)?;
+    Ok(buf)
+}
+
+/// The largest header block a snapshot can carry.
+const MAX_HEADER: usize = HEADER_FIXED + MAX_PROVENANCE + 8;
+
 /// Parse whichever of header/footer is intact, validate the spec, and
-/// return `(info, header_len, spec, used_footer)`.
-fn snapshot_identity(bytes: &[u8]) -> Result<(SnapshotInfo, usize, GridSpec, bool), SgError> {
-    let (info, hlen, used_footer) = match parse_header_at(bytes, 0) {
-        Some((info, hlen)) => (info, hlen, false),
-        None => match parse_footer(bytes) {
-            Some((info, hlen)) => {
-                tel! { SNAP_HEADER_FALLBACKS.add(1); }
-                (info, hlen, true)
-            }
-            None => {
-                tel! { SNAP_RECOVER_FAILED.add(1); }
-                return Err(SgError::Corrupt(
-                    "snapshot header and footer both unreadable".into(),
-                ));
-            }
-        },
+/// return `(info, header_len, spec, used_footer)`. Reads only the two
+/// windows a header can occupy: the first and the last
+/// [`MAX_HEADER`] (+ trailer) bytes.
+fn snapshot_identity(
+    src: &(impl SnapshotSource + ?Sized),
+    src_len: u64,
+) -> Result<(SnapshotInfo, usize, GridSpec, bool), SgError> {
+    let head = read_window(src, src_len, 0, MAX_HEADER)?;
+    let parsed = match parse_header_at(&head, 0) {
+        Some((info, hlen)) => Some((info, hlen, false)),
+        None => {
+            let window = MAX_HEADER + TRAILER_LEN;
+            let start = src_len.saturating_sub(window as u64);
+            let tail = read_window(src, src_len, start, window)?;
+            parse_footer(&tail).map(|(info, hlen)| (info, hlen, true))
+        }
     };
+    let Some((info, hlen, used_footer)) = parsed else {
+        tel! { SNAP_RECOVER_FAILED.add(1); }
+        return Err(SgError::Corrupt(
+            "snapshot header and footer both unreadable".into(),
+        ));
+    };
+    tel! {
+        if used_footer {
+            SNAP_HEADER_FALLBACKS.add(1);
+        }
+    }
     if info.version != SNAP_VERSION {
         return Err(SgError::Corrupt(format!(
             "unsupported snapshot format version {}",
@@ -800,14 +1066,65 @@ fn snapshot_identity(bytes: &[u8]) -> Result<(SnapshotInfo, usize, GridSpec, boo
     Ok((info, hlen, spec, used_footer))
 }
 
-/// Recover everything salvageable from a snapshot.
-///
-/// Section offsets are recomputed from the spec (not from the possibly
-/// damaged section headers), so one corrupt section never hides the
-/// next. The result's grid holds bitwise-identical coefficients for
-/// every intact section; lost groups are zero-filled and enumerated.
-pub fn recover_snapshot<T: Real>(bytes: &[u8]) -> Result<Recovery<T>, SgError> {
-    let (info, hlen, spec, used_footer) = snapshot_identity(bytes)?;
+/// Verify the section of level group (or component) `group` at `offset`
+/// of `src` and decode its payload straight into `out`, whose length
+/// fixes the expected payload. The checks run in the order truncation,
+/// prefix, checksum; a section that fails any of them leaves `out` all
+/// zero. Only a read error other than a short read is an `Err`.
+pub(crate) fn read_section<T: Real>(
+    src: &(impl SnapshotSource + ?Sized),
+    src_len: u64,
+    offset: u64,
+    group: usize,
+    out: &mut [T],
+) -> std::io::Result<SectionStatus> {
+    let payload_len = std::mem::size_of_val(out);
+    let section_len = (SECTION_FIXED + payload_len + SECTION_CRC) as u64;
+    if offset
+        .checked_add(section_len)
+        .is_none_or(|end| end > src_len)
+    {
+        return Ok(SectionStatus::Truncated);
+    }
+    let mut prefix = [0u8; SECTION_FIXED];
+    let mut stored = [0u8; SECTION_CRC];
+    let payload_at = offset + SECTION_FIXED as u64;
+    let payload = value_bytes_mut(out);
+    let read = src.read_exact_at(&mut prefix, offset).and_then(|()| {
+        if prefix != section_prefix(group, payload_len) {
+            return Ok(None);
+        }
+        src.read_exact_at(payload, payload_at)?;
+        src.read_exact_at(&mut stored, payload_at + payload_len as u64)?;
+        let crc = crc64_update_payload(crc64_update(!0, &prefix), payload);
+        Ok(Some(!crc))
+    });
+    let status = match read {
+        Ok(None) => SectionStatus::BadHeader,
+        Ok(Some(crc)) if crc == u64::from_le_bytes(stored) => SectionStatus::Intact,
+        Ok(Some(_)) => SectionStatus::ChecksumMismatch,
+        // The source shrank under us since its length was taken.
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => SectionStatus::Truncated,
+        Err(e) => return Err(e),
+    };
+    if status == SectionStatus::Intact {
+        swap_to_le::<T>(payload);
+    } else {
+        payload.fill(0);
+    }
+    Ok(status)
+}
+
+/// Verify and decode every section of the snapshot `src` (identity
+/// already parsed) into a fresh grid.
+fn recover_sections<T: Real>(
+    src: &(impl SnapshotSource + ?Sized),
+    src_len: u64,
+    info: SnapshotInfo,
+    hlen: usize,
+    spec: GridSpec,
+    used_footer: bool,
+) -> Result<Recovery<T>, SgError> {
     if info.value_type != type_tag::<T>() {
         return Err(SgError::Corrupt(format!(
             "value type tag {} does not match the requested scalar type (tag {})",
@@ -818,20 +1135,14 @@ pub fn recover_snapshot<T: Real>(bytes: &[u8]) -> Result<Recovery<T>, SgError> {
     let mut grid = CompactGrid::<T>::try_new(spec)?;
     let mut sections = Vec::with_capacity(spec.levels());
     let mut lost = Vec::new();
-    let mut offset = hlen;
+    let mut offset = hlen as u64;
     for n in 0..spec.levels() {
         tel! { let verify_t0 = std::time::Instant::now(); }
         let r = grid.indexer().group_range(n);
-        let points = r.end - r.start;
-        let payload_len = points as usize * T::size_bytes();
-        let section_len = SECTION_FIXED + payload_len + SECTION_CRC;
-        let status = verify_section(bytes, offset, n, payload_len);
+        let out = &mut grid.values_mut()[r.start as usize..r.end as usize];
+        let section_len = SECTION_FIXED + std::mem::size_of_val(out) + SECTION_CRC;
+        let status = read_section(src, src_len, offset, n, out)?;
         if status == SectionStatus::Intact {
-            let payload = &bytes[offset + SECTION_FIXED..offset + SECTION_FIXED + payload_len];
-            decode_payload::<T>(
-                payload,
-                &mut grid.values_mut()[r.start as usize..r.end as usize],
-            );
             tel! { SNAP_SECTIONS_VERIFIED.add(1); }
         } else {
             lost.push(n);
@@ -840,18 +1151,11 @@ pub fn recover_snapshot<T: Real>(bytes: &[u8]) -> Result<Recovery<T>, SgError> {
         sections.push(SectionReport {
             group: n,
             status,
-            points,
-            offset,
+            points: r.end - r.start,
+            offset: offset as usize,
         });
-        offset += section_len;
+        offset += section_len as u64;
         tel! { SECTION_VERIFY_NS.record(verify_t0.elapsed().as_nanos() as u64); }
-    }
-    tel! {
-        if lost.is_empty() {
-            SNAP_RECOVER_FULL.add(1);
-        } else {
-            SNAP_RECOVER_DEGRADED.add(1);
-        }
     }
     Ok(Recovery {
         grid: DegradedGrid { grid, lost },
@@ -861,41 +1165,34 @@ pub fn recover_snapshot<T: Real>(bytes: &[u8]) -> Result<Recovery<T>, SgError> {
     })
 }
 
-pub(crate) fn verify_section(
-    bytes: &[u8],
-    offset: usize,
-    group: usize,
-    payload_len: usize,
-) -> SectionStatus {
-    let section_len = SECTION_FIXED + payload_len + SECTION_CRC;
-    let Some(b) = bytes.get(offset..offset + section_len) else {
-        return SectionStatus::Truncated;
-    };
-    if b[..4] != SECTION_MARKER {
-        return SectionStatus::BadHeader;
+/// Recover everything salvageable from a snapshot source — the one load
+/// path behind every reader in this module.
+///
+/// Section offsets are recomputed from the spec (not from the possibly
+/// damaged section headers), so one corrupt section never hides the
+/// next. Each section is verified and decoded in one pass straight into
+/// its range of the value array, which therefore holds bitwise-identical
+/// coefficients for every intact section; lost groups are zero-filled
+/// and enumerated.
+pub fn recover_snapshot_from<T: Real>(
+    src: &(impl SnapshotSource + ?Sized),
+) -> Result<Recovery<T>, SgError> {
+    let src_len = src.byte_len()?;
+    let (info, hlen, spec, used_footer) = snapshot_identity(src, src_len)?;
+    let recovery = recover_sections(src, src_len, info, hlen, spec, used_footer)?;
+    tel! {
+        if recovery.grid.is_complete() {
+            SNAP_RECOVER_FULL.add(1);
+        } else {
+            SNAP_RECOVER_DEGRADED.add(1);
+        }
     }
-    let g = u32::from_le_bytes(b[4..8].try_into().unwrap()) as usize;
-    let len = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
-    if g != group || len != payload_len {
-        return SectionStatus::BadHeader;
-    }
-    let stored = u64::from_le_bytes(b[section_len - 8..].try_into().unwrap());
-    if crc64(&b[..section_len - 8]) != stored {
-        return SectionStatus::ChecksumMismatch;
-    }
-    SectionStatus::Intact
+    Ok(recovery)
 }
 
-pub(crate) fn decode_payload<T: Real>(payload: &[u8], out: &mut [T]) {
-    let w = T::size_bytes();
-    debug_assert_eq!(payload.len(), out.len() * w);
-    for (k, v) in out.iter_mut().enumerate() {
-        let b = &payload[k * w..(k + 1) * w];
-        *v = match w {
-            4 => T::from_f64(f32::from_le_bytes(b.try_into().unwrap()) as f64),
-            _ => T::from_f64(f64::from_le_bytes(b.try_into().unwrap())),
-        };
-    }
+/// [`recover_snapshot_from`] an in-memory snapshot.
+pub fn recover_snapshot<T: Real>(bytes: &[u8]) -> Result<Recovery<T>, SgError> {
+    recover_snapshot_from(bytes)
 }
 
 /// Strict read: every section must verify. A damaged snapshot yields
@@ -905,41 +1202,26 @@ pub fn read_snapshot<T: Real>(bytes: &[u8]) -> Result<CompactGrid<T>, SgError> {
     recover_snapshot::<T>(bytes)?.grid.into_complete()
 }
 
-/// Read a snapshot file strictly (see [`read_snapshot`]).
+/// Read a snapshot file strictly (see [`read_snapshot`]), positionally:
+/// sections go from the file straight into the grid.
 pub fn read_snapshot_file<T: Real>(
     path: impl AsRef<std::path::Path>,
 ) -> Result<CompactGrid<T>, SgError> {
-    let bytes = std::fs::read(path)?;
-    read_snapshot(&bytes)
+    let file = std::fs::File::open(path)?;
+    recover_snapshot_from::<T>(&file)?.grid.into_complete()
 }
 
-/// Verify a snapshot without materializing the grid: identity plus a
-/// per-section status table. Works for either value type.
-pub fn verify_snapshot(bytes: &[u8]) -> Result<(SnapshotInfo, Vec<SectionReport>, bool), SgError> {
-    let (info, hlen, spec, used_footer) = snapshot_identity(bytes)?;
-    let indexer = sg_core::bijection::GridIndexer::try_new(spec)?;
-    let width = if info.value_type == 0 { 4 } else { 8 };
-    let mut sections = Vec::with_capacity(spec.levels());
-    let mut offset = hlen;
-    for n in 0..spec.levels() {
-        let r = indexer.group_range(n);
-        let points = r.end - r.start;
-        let payload_len = points as usize * width;
-        let status = verify_section(bytes, offset, n, payload_len);
-        tel! {
-            match status {
-                SectionStatus::Intact => SNAP_SECTIONS_VERIFIED.add(1),
-                _ => SNAP_SECTIONS_CORRUPT.add(1),
-            }
-        }
-        sections.push(SectionReport {
-            group: n,
-            status,
-            points,
-            offset,
-        });
-        offset += SECTION_FIXED + payload_len + SECTION_CRC;
-    }
+/// Verify a snapshot of either value type: identity plus a per-section
+/// status table. The sections are decoded to check them, then dropped.
+pub fn verify_snapshot(
+    src: &(impl SnapshotSource + ?Sized),
+) -> Result<(SnapshotInfo, Vec<SectionReport>, bool), SgError> {
+    let src_len = src.byte_len()?;
+    let (info, hlen, spec, used_footer) = snapshot_identity(src, src_len)?;
+    let sections = match info.value_type {
+        0 => recover_sections::<f32>(src, src_len, info.clone(), hlen, spec, used_footer)?.sections,
+        _ => recover_sections::<f64>(src, src_len, info.clone(), hlen, spec, used_footer)?.sections,
+    };
     Ok((info, sections, used_footer))
 }
 
@@ -948,7 +1230,7 @@ pub fn verify_snapshot(bytes: &[u8]) -> Result<(SnapshotInfo, Vec<SectionReport>
 /// section, and the total length. Used by the fault-injection harness to
 /// tear writes at exact section boundaries.
 pub fn section_boundaries(bytes: &[u8]) -> Result<Vec<usize>, SgError> {
-    let (info, hlen, spec, _) = snapshot_identity(bytes)?;
+    let (info, hlen, spec, _) = snapshot_identity(bytes, bytes.len() as u64)?;
     let indexer = sg_core::bijection::GridIndexer::try_new(spec)?;
     let width = if info.value_type == 0 { 4 } else { 8 };
     let mut offsets = vec![hlen];
@@ -1008,6 +1290,97 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             assert_eq!(crc64(&data), crc64_reference(&data), "len {len}");
         });
+    }
+
+    #[test]
+    fn crc64_combine_matches_crc64_of_the_concatenation() {
+        sg_prop::run_cases("crc64_combine", 64, |rng| {
+            let len = rng.usize_in(0..=4096);
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let cut = rng.usize_in(0..=len);
+            let (a, b) = data.split_at(cut);
+            assert_eq!(
+                crc64_combine(crc64(a), crc64(b), b.len() as u64),
+                crc64(&data),
+                "len {len}, cut {cut}"
+            );
+        });
+    }
+
+    /// Random little-endian payload bytes of `n` values of type `T`.
+    fn payload_of<T: Real>(rng: &mut sg_prop::Rng, n: usize) -> Vec<u8> {
+        let values: Vec<T> = (0..n).map(|_| T::from_f64(rng.f64_in(-1.0, 1.0))).collect();
+        le_payload(&values).into_owned()
+    }
+
+    /// The chunked fold at every chunk seam: empty, one value, one value
+    /// short of a chunk, one chunk, one value past it, and several chunks
+    /// plus a tail, each continued from a non-trivial register.
+    fn chunk_fold_matches_crc64<T: Real>() {
+        let mut rng = sg_prop::Rng::new(0xC4C4_F01D);
+        let w = T::size_bytes();
+        let per_chunk = CHUNK_BYTES / w;
+        for n in [
+            0,
+            1,
+            per_chunk - 1,
+            per_chunk,
+            per_chunk + 1,
+            3 * per_chunk + 5,
+        ] {
+            let payload = payload_of::<T>(&mut rng, n);
+            let start = crc64_update(!0, &section_prefix(7, payload.len()));
+            let chunk_crcs = payload.chunks(CHUNK_BYTES).map(crc64);
+            assert_eq!(
+                fold_chunk_crcs(start, chunk_crcs, payload.len()),
+                crc64_update(start, &payload),
+                "{n} values of {w} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_fold_matches_crc64_at_every_seam_for_f32_and_f64() {
+        chunk_fold_matches_crc64::<f32>();
+        chunk_fold_matches_crc64::<f64>();
+    }
+
+    /// Sections around the pool threshold and the chunk seams above it
+    /// round-trip bitwise, and a flipped byte in the last chunk is caught
+    /// and leaves the range zeroed.
+    fn pooled_sections_roundtrip<T: Real>() {
+        let mut rng = sg_prop::Rng::new(0x5EC7_1045);
+        let w = T::size_bytes();
+        let (pool, chunk) = (POOL_MIN_BYTES / w, CHUNK_BYTES / w);
+        for n in [
+            pool - 1,
+            pool,
+            pool + 1,
+            pool + chunk - 1,
+            3 * chunk + 2 * pool + 3,
+        ] {
+            let values: Vec<T> = (0..n).map(|_| T::from_f64(rng.f64_in(-1.0, 1.0))).collect();
+            let mut sink = MemorySink::new();
+            let len = write_section(&mut sink, 3, &values).unwrap();
+            let mut bytes = sink.bytes().to_vec();
+            assert_eq!(bytes.len(), len);
+            let stored = u64::from_le_bytes(bytes[len - 8..].try_into().unwrap());
+            assert_eq!(stored, crc64(&bytes[..len - 8]), "{n} values of {w} bytes");
+            let mut back = vec![T::ZERO; n];
+            let status = read_section(&bytes[..], len as u64, 0, 3, &mut back).unwrap();
+            assert_eq!(status, SectionStatus::Intact);
+            assert_eq!(le_payload(&back), le_payload(&values));
+            bytes[len - 9] ^= 0x20;
+            let status = read_section(&bytes[..], len as u64, 0, 3, &mut back).unwrap();
+            assert_eq!(status, SectionStatus::ChecksumMismatch);
+            assert!(value_bytes(&back).iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn pooled_sections_roundtrip_at_chunk_seams_for_f32_and_f64() {
+        pooled_sections_roundtrip::<f32>();
+        pooled_sections_roundtrip::<f64>();
     }
 
     #[test]
@@ -1302,13 +1675,13 @@ mod tests {
     fn verify_reports_without_materializing() {
         let g = sample_grid();
         let mut bytes = encode_snapshot(&g, "verify");
-        let (info, sections, used_footer) = verify_snapshot(&bytes).unwrap();
+        let (info, sections, used_footer) = verify_snapshot(&bytes[..]).unwrap();
         assert_eq!(info.dim, 3);
         assert!(!used_footer);
         assert!(sections.iter().all(|s| s.status == SectionStatus::Intact));
         let bounds = section_boundaries(&bytes).unwrap();
         bytes[bounds[1] + 5] ^= 0x80;
-        let (_, sections, _) = verify_snapshot(&bytes).unwrap();
+        let (_, sections, _) = verify_snapshot(&bytes[..]).unwrap();
         assert_eq!(sections[1].status, SectionStatus::BadHeader);
         assert_eq!(
             sections

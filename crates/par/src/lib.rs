@@ -173,35 +173,60 @@ fn effective_grain(hint: usize, n_items: usize, k: usize) -> usize {
     }
 }
 
-/// Close the books on one parallel region: `times[slot]` is worker
-/// `slot`'s `(start, end)` and `chunks[slot]` its claimed work items.
-/// Accumulates the barrier-wait counter, feeds the per-region imbalance
-/// table, and — when tracing — emits the coordinator-side events
-/// (`par.region` on lane 0, one `par.barrier_wait` per idle worker).
-/// Worker `par.worker` events were already recorded by the workers
-/// themselves.
+/// One coordinator's bookkeeping buffers for its regions' telemetry:
+/// `records[slot]` is filled by worker `slot`, the rest are derived from
+/// them. Reused region after region (see [`BOOKS`]), so accounting a
+/// pooled region does not allocate in the steady state.
+#[cfg(feature = "telemetry")]
+#[derive(Default)]
+struct RegionBooks {
+    records: Vec<SlotRecord>,
+    times: Vec<(Instant, Instant)>,
+    chunks: Vec<u64>,
+    busy: Vec<u64>,
+    wait: Vec<u64>,
+}
+
+#[cfg(feature = "telemetry")]
+thread_local! {
+    /// The calling thread's [`RegionBooks`], taken for the length of a
+    /// region and put back after it.
+    static BOOKS: std::cell::Cell<RegionBooks> = std::cell::Cell::default();
+}
+
+/// Close the books on one parallel region: `books.times[slot]` is worker
+/// `slot`'s `(start, end)` and `books.chunks[slot]` its claimed work
+/// items. Accumulates the barrier-wait counter, feeds the per-region
+/// imbalance table, and — when tracing — emits the coordinator-side
+/// events (`par.region` on lane 0, one `par.barrier_wait` per idle
+/// worker). Worker `par.worker` events were already recorded by the
+/// workers themselves.
 #[cfg(feature = "telemetry")]
 fn finish_region(
     label: &'static str,
     arg: RegionArg,
     region_start: Instant,
-    times: &[(Instant, Instant)],
-    chunks: &[u64],
+    books: &mut RegionBooks,
 ) {
+    let times = &books.times;
     let Some(last) = times.iter().map(|&(_, end)| end).max() else {
         return;
     };
-    let busy: Vec<u64> = times
-        .iter()
-        .map(|&(start, end)| end.duration_since(start).as_nanos() as u64)
-        .collect();
-    let wait: Vec<u64> = times
-        .iter()
-        .map(|&(_, end)| last.duration_since(end).as_nanos() as u64)
-        .collect();
-    BARRIER_WAIT_NS.add(wait.iter().sum());
+    books.busy.clear();
+    books.busy.extend(
+        times
+            .iter()
+            .map(|&(start, end)| end.duration_since(start).as_nanos() as u64),
+    );
+    books.wait.clear();
+    books.wait.extend(
+        times
+            .iter()
+            .map(|&(_, end)| last.duration_since(end).as_nanos() as u64),
+    );
+    BARRIER_WAIT_NS.add(books.wait.iter().sum());
     REGIONS.add(1);
-    sg_telemetry::regions::record_region(label, arg, &busy, &wait, chunks);
+    sg_telemetry::regions::record_region(label, arg, &books.busy, &books.wait, &books.chunks);
     if sg_telemetry::trace::is_enabled() {
         for (slot, &(_, end)) in times.iter().enumerate() {
             if end < last {
@@ -277,7 +302,12 @@ where
     #[cfg(feature = "telemetry")]
     let region_start = Instant::now();
     #[cfg(feature = "telemetry")]
-    let records: Vec<SlotRecord> = (0..k).map(|_| Mutex::new(None)).collect();
+    let mut books = BOOKS.with(std::cell::Cell::take);
+    #[cfg(feature = "telemetry")]
+    {
+        books.records.clear();
+        books.records.resize_with(k, || Mutex::new(None));
+    }
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
     let body = |slot: usize| {
@@ -290,7 +320,7 @@ where
         {
             let span = finish_worker(slot, arg, t_start);
             let claimed = outcome.as_ref().map_or(0, |&c| c);
-            *lock_no_poison(&records[slot]) = Some((span, claimed));
+            *lock_no_poison(&books.records[slot]) = Some((span, claimed));
         }
         if let Err(payload) = outcome {
             let mut slot = lock_no_poison(&first_panic);
@@ -309,14 +339,15 @@ where
     }
     #[cfg(feature = "telemetry")]
     {
-        let mut times = Vec::with_capacity(k);
-        let mut chunks = Vec::with_capacity(k);
-        for record in &records {
+        books.times.clear();
+        books.chunks.clear();
+        for record in &books.records {
             let (span, claimed) = lock_no_poison(record).expect("pool slot left no record");
-            times.push(span);
-            chunks.push(claimed);
+            books.times.push(span);
+            books.chunks.push(claimed);
         }
-        finish_region(label, arg, region_start, &times, &chunks);
+        finish_region(label, arg, region_start, &mut books);
+        BOOKS.with(|b| b.set(books));
     }
 }
 

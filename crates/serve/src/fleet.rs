@@ -87,6 +87,16 @@ pub struct Model {
     counters: &'static model_tel::ModelCounters,
 }
 
+/// Recover the snapshot at `path` straight from the file: one pass that
+/// verifies every section as it decodes it into the grid, with no
+/// whole-file buffer. `step` names the recovery in its error.
+fn recover_file(path: &Path, step: &str) -> Result<sg_io::Recovery<f64>, ServeError> {
+    let file = std::fs::File::open(path)
+        .map_err(|e| ServeError::Model(format!("reading {}: {e}", path.display())))?;
+    sg_io::recover_snapshot_from::<f64>(&file)
+        .map_err(|e| ServeError::Model(format!("{step} {}: {e}", path.display())))
+}
+
 impl Model {
     fn from_parts(
         name: &str,
@@ -120,12 +130,11 @@ impl Model {
         path: &Path,
         generation: u64,
     ) -> Result<Model, ServeError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ServeError::Model(format!("reading {}: {e}", path.display())))?;
-        let invalid = |e| ServeError::Model(format!("loading {}: {e}", path.display()));
-        // One checksum pass: recovery verifies every section as it decodes.
-        let recovery = sg_io::recover_snapshot::<f64>(&bytes).map_err(invalid)?;
-        let grid = recovery.grid.into_complete().map_err(invalid)?;
+        let recovery = recover_file(path, "loading")?;
+        let grid = recovery
+            .grid
+            .into_complete()
+            .map_err(|e| ServeError::Model(format!("loading {}: {e}", path.display())))?;
         Ok(Model::from_parts(
             name,
             grid,
@@ -267,10 +276,7 @@ impl Fleet {
         repair_fn: Option<TestFunction>,
     ) -> Result<(u64, Vec<usize>), ServeError> {
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let bytes = std::fs::read(path)
-            .map_err(|e| ServeError::Model(format!("reading {}: {e}", path.display())))?;
-        let rec = sg_io::recover_snapshot::<f64>(&bytes)
-            .map_err(|e| ServeError::Model(format!("recovering {}: {e}", path.display())))?;
+        let rec = recover_file(path, "recovering")?;
         let lost = rec.grid.lost_groups().to_vec();
         let levels = rec.grid.grid().spec().levels();
         if lost.len() >= levels {
@@ -318,10 +324,7 @@ impl Fleet {
         if !degraded {
             return Ok(false);
         }
-        let bytes = std::fs::read(&source)
-            .map_err(|e| ServeError::Model(format!("reading {}: {e}", source.display())))?;
-        let rec = sg_io::recover_snapshot::<f64>(&bytes)
-            .map_err(|e| ServeError::Model(format!("recovering {}: {e}", source.display())))?;
+        let rec = recover_file(&source, "recovering")?;
         let grid = match repair_fn {
             Some(f) => rec.grid.repair_with(|x| f.eval(x)),
             None => rec.grid.into_complete().map_err(|e| {

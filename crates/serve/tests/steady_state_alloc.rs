@@ -39,10 +39,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made by `rounds` calls of `request` after `warmup` calls
+/// that grow every reused buffer and perform one-time registrations.
+fn allocations_per(warmup: usize, rounds: usize, mut request: impl FnMut()) -> u64 {
+    for _ in 0..warmup {
+        request();
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..rounds {
+        request();
+    }
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn steady_state_requests_do_not_allocate() {
-    // A pool width in the environment must not matter: reading it
-    // allocates, and a one-block batch never asks for it.
+    // A pool width in the environment must not matter to the inline
+    // path: a one-block batch never asks for it.
     std::env::set_var("SG_PAR_THREADS", "2");
     let mut grid = CompactGrid::from_fn(GridSpec::new(3, 5), |x| (4.0 * x[0]).sin() + x[1] * x[2]);
     hierarchize(&mut grid);
@@ -51,46 +64,44 @@ fn steady_state_requests_do_not_allocate() {
 
     let fleet = Fleet::new(2);
     fleet.load("m", &path).unwrap();
-    // Each 40-point request is one evaluator block (`BLOCK` = 64), so it
-    // runs inline on the executor: that path is the steady-state contract
-    // (the pool path trades allocations in its telemetry accounting for
-    // multi-core throughput on batches of several blocks).
     let engine = Engine::new(fleet, ServeConfig::default());
     let slot = engine.fleet().resolve("m").unwrap();
     let job = engine.make_job();
 
-    let xs: Vec<f64> = (0..3 * 40)
-        .map(|i| ((i as f64) * 0.617_283).fract())
-        .collect();
-
-    let run_request = |sink: &mut f64| {
-        engine
-            .prepare(&job, slot, 3, None, |buf| buf.extend_from_slice(&xs))
-            .unwrap();
-        engine.submit(&job).unwrap();
-        engine.wait(&job).unwrap();
-        *sink += job.with_results(|ys| ys[0]);
-        job.recycle();
+    // A request of `points` 3-d points: one evaluator block (`BLOCK` =
+    // 64 points) runs inline on the executor, several run on the pool.
+    let count_allocations = |points: usize| {
+        let xs: Vec<f64> = (0..3 * points)
+            .map(|i| ((i as f64) * 0.617_283).fract())
+            .collect();
+        let mut sink = 0.0;
+        let allocations = allocations_per(100, 500, || {
+            engine
+                .prepare(&job, slot, 3, None, |buf| buf.extend_from_slice(&xs))
+                .unwrap();
+            engine.submit(&job).unwrap();
+            engine.wait(&job).unwrap();
+            sink += job.with_results(|ys| ys[ys.len() - 1]);
+            job.recycle();
+        });
+        assert!(sink.is_finite());
+        allocations
     };
-
-    // Warm-up: grows every reused buffer to its steady-state capacity
-    // and performs the one-time telemetry registrations.
-    let mut sink = 0.0;
-    for _ in 0..100 {
-        run_request(&mut sink);
-    }
-
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..500 {
-        run_request(&mut sink);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-    assert!(sink.is_finite());
+    let inline = count_allocations(40);
     assert_eq!(
-        after - before,
-        0,
-        "steady-state request path allocated {} times over 500 requests",
-        after - before
+        inline, 0,
+        "steady-state request path allocated {inline} times over 500 requests"
+    );
+    // The pooled path's one allocation per request is the pool-width
+    // read: sg-par re-reads `SG_PAR_THREADS` for every region of more
+    // than one chunk, and reading a set variable allocates. Everything
+    // else on that path — the region, its telemetry books, the kernels
+    // and their scratch — must not allocate.
+    let pooled = count_allocations(200);
+    assert_eq!(
+        pooled, 500,
+        "pooled request path allocated {pooled} times over 500 requests; \
+         only the one SG_PAR_THREADS read per request is expected"
     );
 
     engine.shutdown();
