@@ -8,7 +8,10 @@
 //! against model: the sequential baseline is the Nehalem-core time model
 //! fed with the algorithms' instruction counts and cache-simulated DRAM
 //! traffic (constants documented in `sg_machine::multicore::SeqCpuModel`).
-//! Real measured host times are printed alongside for reference.
+//! Real measured host times are printed alongside for reference; the
+//! `host simd/portable` column (trajectory key `d<k>/simd_eval_speedup`)
+//! is the hand-written SIMD evaluation kernel's gain over the portable
+//! table loop that the forced scalar kernel runs.
 //!
 //! Usage: `fig10_speedup [--level 6] [--dmax 10] [--points 10000]
 //!                       [--fermi] [--ablations]`
@@ -84,7 +87,7 @@ fn main() {
             "4c Nehalem",
             "seq model",
             "seq host",
-            "host simd×",
+            "host simd/portable",
         ],
     );
     let simd = detect();
@@ -112,9 +115,11 @@ fn main() {
 
         // --- Real host measurements (reference columns): one hierarchize,
         // then evaluation once per kernel with dispatch pinned, both
-        // serial (pool width 1) — the scalar/SIMD pair records the
-        // measured lane-width gain on this hardware next to the machine
-        // models.
+        // serial (pool width 1) — the pair records what the hand-written
+        // SIMD kernel gains over the portable table loop (the forced
+        // "scalar" kernel, which reads the same per-block basis tables
+        // and is compiler-vectorized) on this hardware, next to the
+        // machine models.
         let mut g = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
         let t_host_hier = sg_bench::time_once(|| sg_core::hierarchize::hierarchize(&mut g));
         let width = sg_par::num_threads();

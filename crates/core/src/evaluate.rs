@@ -13,12 +13,14 @@
 //! while cache-resident (paper §4.3), and spreads the blocks over the
 //! `sg_par` pool. The subspace walk itself is precomputed **once per
 //! batch** into an [`EvalPlan`] (not once per block, and never per
-//! point), and the per-subspace inner loop is dispatched through
-//! [`crate::kernel`]: a lane-width of query points is processed per
-//! subspace visit, with coordinates transposed into an SoA scratch
-//! buffer and the per-dimension hat products and `index1` arithmetic
-//! carried in vector registers. All kernels are bitwise identical to
-//! the scalar path (same operation order, no FMA).
+//! point). A point's per-dimension factor depends only on the level, so
+//! each block first tabulates [`cell_and_basis`] for every dimension,
+//! level and point; the per-subspace inner loop, dispatched through
+//! [`crate::kernel`], then only multiplies hats and shifts-and-adds
+//! cells read from those tables. Every kernel is bitwise identical to
+//! [`evaluate`]: the factors come from [`cell_and_basis`], the product
+//! keeps its order (no FMA), the index is an exact integer, and a point
+//! whose product is zero reads no coefficient.
 
 use crate::grid::CompactGrid;
 use crate::kernel::{self, KernelKind};
@@ -143,20 +145,30 @@ pub fn evaluate_batch<T: Real>(grid: &CompactGrid<T>, xs: &[f64]) -> Vec<T> {
 /// a measured reason to differ pass as `block`.
 pub const BLOCK: usize = 64;
 
-/// One thread's per-block buffers: the f64 accumulators (`block`
-/// entries) and the SoA coordinate transpose the SIMD kernels read
-/// (`block · d`). They grow to the steady-state block shape once per
-/// thread and are reused by every later call on that thread, so
-/// repeated batch evaluation allocates nothing.
+/// One thread's per-block buffers: the f64 accumulators (`k` entries),
+/// the block's 1-D basis tables ([`Basis`], `d · levels · k` entries
+/// each) and the portable kernel's per-point product and index (`k`
+/// each). They grow to the steady-state block shape once per thread and
+/// are reused by every later call on that thread, so repeated batch
+/// evaluation allocates nothing.
 #[derive(Default)]
 struct Scratch {
     acc: Vec<f64>,
-    soa: Vec<f64>,
+    hat: Vec<f64>,
+    cell: Vec<u64>,
+    prod: Vec<f64>,
+    idx: Vec<u64>,
 }
 
 thread_local! {
     static SCRATCH: std::cell::Cell<Scratch> = const {
-        std::cell::Cell::new(Scratch { acc: Vec::new(), soa: Vec::new() })
+        std::cell::Cell::new(Scratch {
+            acc: Vec::new(),
+            hat: Vec::new(),
+            cell: Vec::new(),
+            prod: Vec::new(),
+            idx: Vec::new(),
+        })
     };
 }
 
@@ -174,8 +186,8 @@ thread_local! {
 /// because per-point cost varies with the basis-function path length.
 /// Every pool worker shares `plan` and the kernel chosen by
 /// [`crate::kernel::active`] on the calling thread; the accumulator and
-/// transpose buffers are per-thread and owned here. Bitwise identical to
-/// [`evaluate_batch`] for every block size, kernel and pool width.
+/// basis-table buffers are per-thread and owned here. Bitwise identical
+/// to [`evaluate_batch`] for every block size, kernel and pool width.
 ///
 /// # Panics
 /// If the plan was built for a different dimensionality, `xs.len()` is
@@ -210,7 +222,7 @@ pub fn evaluate_batch_into<T: Real>(
         let xs = &xs[ci * block * d..][..out.len() * d];
         SCRATCH.with(|cell| {
             let mut ws = cell.take();
-            eval_block(grid.values(), plan, kind, xs, d, &mut ws, out);
+            eval_block(grid.values(), plan, kind, xs, &mut ws, out);
             cell.set(ws);
         });
     });
@@ -222,6 +234,55 @@ pub fn evaluate_batch_into<T: Real>(
     }
 }
 
+/// A block's 1-D basis tables (paper Alg. 7 lines 9–13 hoisted out of
+/// the subspace loop): point `j`'s factor in dimension `t` at level `λ`
+/// is [`cell_and_basis`]`(λ, x_jt)`, stored as `cell[r + j]` and
+/// `hat[r + j]` with `r = row(t, λ)`. A query point has only `d · L`
+/// distinct factors, so every subspace reads them instead of
+/// recomputing them.
+struct Basis<'a> {
+    hat: &'a [f64],
+    cell: &'a [u64],
+    levels: usize,
+    k: usize,
+}
+
+impl Basis<'_> {
+    /// Fill the tables for the `k` row-major points of `xs`, levels
+    /// `0..levels`, and view them.
+    fn fill<'a>(
+        xs: &[f64],
+        d: usize,
+        levels: usize,
+        hat: &'a mut Vec<f64>,
+        cell: &'a mut Vec<u64>,
+    ) -> Basis<'a> {
+        hat.clear();
+        cell.clear();
+        for t in 0..d {
+            for lam in 0..levels {
+                for x in xs.chunks_exact(d) {
+                    let (c, b) = cell_and_basis(lam as Level, x[t]);
+                    cell.push(c);
+                    hat.push(b);
+                }
+            }
+        }
+        Basis {
+            hat,
+            cell,
+            levels,
+            k: xs.len() / d,
+        }
+    }
+
+    /// Start of dimension `t`'s row for level `l`.
+    #[inline(always)]
+    fn row(&self, t: usize, l: Level) -> usize {
+        (t * self.levels + l as usize) * self.k
+    }
+}
+
 /// Evaluate one block of query points (`out.len()` of them, row-major
 /// in `xs`) against every subspace of `plan` on kernel `kind`.
 fn eval_block<T: Real>(
@@ -229,28 +290,43 @@ fn eval_block<T: Real>(
     plan: &EvalPlan,
     kind: KernelKind,
     xs: &[f64],
-    d: usize,
     ws: &mut Scratch,
     out: &mut [T],
 ) {
-    let values_f64 = T::as_f64_slice(values);
-    let acc = &mut ws.acc;
+    let k = out.len();
+    let Scratch {
+        acc,
+        hat,
+        cell,
+        prod,
+        idx,
+    } = ws;
     acc.clear();
-    acc.resize(out.len(), 0.0);
-    // The SIMD kernels read coordinates from the SoA scratch layout;
-    // transpose once per block, outside the (possibly per-group) kernel
-    // calls.
-    let use_simd = values_f64.is_some() && kind != KernelKind::Scalar;
-    if use_simd {
-        transpose_block(xs, d, out.len(), &mut ws.soa);
-    }
-    let soa = &ws.soa;
-    let run_entries = |entries: std::ops::Range<usize>, acc: &mut [f64]| match values_f64 {
-        // f32 grids (and a forced scalar kernel) take the generic scalar
-        // path; it is the bitwise reference either way.
-        Some(v) if use_simd => eval_block_simd(kind, v, plan, entries, xs, d, soa, acc),
-        _ => eval_block_scalar(values, plan, entries, xs, d, acc),
-    };
+    acc.resize(k, 0.0);
+    prod.resize(k, 0.0);
+    idx.resize(k, 0);
+    let basis = Basis::fill(xs, plan.dim(), plan.num_groups(), hat, cell);
+    let values_f64 = T::as_f64_slice(values);
+    // `kind` comes from [`kernel::active`], i.e. it is availability-checked
+    // — that is what makes the `unsafe` ISA calls sound.
+    let mut run_entries =
+        |entries: std::ops::Range<usize>, acc: &mut [f64]| match (kind, values_f64) {
+            #[cfg(target_arch = "x86_64")]
+            (KernelKind::Avx2, Some(v)) => unsafe {
+                avx2::eval_block(v, plan, entries, &basis, prod, idx, acc)
+            },
+            #[cfg(target_arch = "aarch64")]
+            (KernelKind::Neon, Some(v)) => unsafe {
+                neon::eval_block(v, plan, entries, &basis, prod, idx, acc)
+            },
+            // f32 grids and a forced scalar kernel run the portable loop.
+            _ => entries
+                .map(|e| {
+                    let (l, index2) = plan.entry(e);
+                    eval_entry(values, l, index2, &basis, 0..k, prod, idx, acc)
+                })
+                .sum(),
+        };
     // Entries stay in ascending order either way, so the split is
     // bitwise-neutral; only telemetry builds pay the per-group timer
     // reads.
@@ -280,267 +356,172 @@ fn eval_block<T: Real>(
     }
 }
 
-/// Scalar per-block kernel over the plan entries `entries`:
-/// subspace-outer, point-inner, exactly the historical blocked loop.
-/// Returns the number of coefficient reads (non-zero basis products)
-/// for the traffic counter.
-fn eval_block_scalar<T: Real>(
-    values: &[T],
-    plan: &EvalPlan,
-    entries: std::ops::Range<usize>,
-    xs: &[f64],
-    d: usize,
-    acc: &mut [f64],
-) -> u64 {
-    let mut reads = 0u64;
-    for e in entries {
-        let (l, index2) = plan.entry(e);
-        for (a, x) in acc.iter_mut().zip(xs.chunks_exact(d)) {
-            let mut prod = 1.0f64;
-            let mut index1 = 0u64;
-            for t in 0..d {
-                let (c, b) = cell_and_basis(l[t], x[t]);
-                if b == 0.0 {
-                    prod = 0.0;
-                    break;
-                }
-                index1 = (index1 << l[t] as u32) + c;
-                prod *= b;
-            }
-            if prod != 0.0 {
-                *a += prod * values[index2 + index1 as usize].to_f64();
-                reads += 1;
-            }
-        }
-    }
-    reads
-}
-
-/// Scalar tail for the SIMD kernels: points `from..` of the block
-/// against one subspace entry, identical to [`eval_block_scalar`]'s
-/// inner loop.
+/// The portable table kernel (the scalar kernel, and the one `f32` grids
+/// run) on one subspace: points `js` of the block against subspace `l`
+/// (storage offset `index2`). Element-wise passes over the points form
+/// each one's hat product and `index1` in `prod`/`idx`, then a masked
+/// pass reads the coefficient only where the product is non-zero.
+/// Returns the number of coefficient reads.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn eval_tail_scalar(
-    values: &[f64],
+fn eval_entry<T: Real>(
+    values: &[T],
     l: &[Level],
     index2: usize,
-    xs: &[f64],
-    d: usize,
+    basis: &Basis,
+    js: std::ops::Range<usize>,
+    prod: &mut [f64],
+    idx: &mut [u64],
     acc: &mut [f64],
-    from: usize,
 ) -> u64 {
-    let mut reads = 0u64;
-    for (a, x) in acc[from..].iter_mut().zip(xs[from * d..].chunks_exact(d)) {
-        let mut prod = 1.0f64;
-        let mut index1 = 0u64;
-        for t in 0..d {
-            let (c, b) = cell_and_basis(l[t], x[t]);
-            if b == 0.0 {
-                prod = 0.0;
-                break;
-            }
-            index1 = (index1 << l[t] as u32) + c;
-            prod *= b;
+    let n = js.len();
+    let (prod, idx) = (&mut prod[..n], &mut idx[..n]);
+    let r = basis.row(0, l[0]) + js.start;
+    prod.copy_from_slice(&basis.hat[r..r + n]);
+    idx.copy_from_slice(&basis.cell[r..r + n]);
+    for (t, &lt) in l.iter().enumerate().skip(1) {
+        let r = basis.row(t, lt) + js.start;
+        for (p, &b) in prod.iter_mut().zip(&basis.hat[r..r + n]) {
+            *p *= b;
         }
-        if prod != 0.0 {
-            *a += prod * values[index2 + index1 as usize];
+        for (i, &c) in idx.iter_mut().zip(&basis.cell[r..r + n]) {
+            *i = (*i << lt as u32) + c;
+        }
+    }
+    let mut reads = 0u64;
+    for ((a, &p), &i) in acc[js].iter_mut().zip(&*prod).zip(&*idx) {
+        if p != 0.0 {
+            *a += p * values[index2 + i as usize].to_f64();
             reads += 1;
         }
     }
     reads
 }
 
-/// Transpose a row-major block into the SoA scratch layout
-/// (`xt[t·k + j] = xs[j·d + t]`) so each dimension's coordinates load
-/// as one contiguous vector.
-fn transpose_block(xs: &[f64], d: usize, k: usize, xt: &mut Vec<f64>) {
-    xt.clear();
-    xt.resize(k * d, 0.0);
-    for j in 0..k {
-        for t in 0..d {
-            xt[t * k + j] = xs[j * d + t];
-        }
-    }
-}
-
-/// Dispatch the per-block evaluation to the selected SIMD kernel.
-/// `kind` comes from [`kernel::active`], i.e. it is availability-checked
-/// — that is what makes the `unsafe` ISA calls sound. `xt` must hold the
-/// block's coordinates in the [`transpose_block`] SoA layout.
-#[allow(clippy::too_many_arguments)]
-fn eval_block_simd(
-    kind: KernelKind,
-    values: &[f64],
-    plan: &EvalPlan,
-    entries: std::ops::Range<usize>,
-    xs: &[f64],
-    d: usize,
-    xt: &[f64],
-    acc: &mut [f64],
-) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if kind == KernelKind::Avx2 {
-        // Safety: `resolve` only yields Avx2 after feature detection.
-        return unsafe { avx2::eval_block(values, plan, entries, xs, d, xt, acc) };
-    }
-    #[cfg(target_arch = "aarch64")]
-    if kind == KernelKind::Neon {
-        // Safety: NEON is baseline on aarch64.
-        return unsafe { neon::eval_block(values, plan, entries, xs, d, xt, acc) };
-    }
-    let _ = (kind, xt);
-    eval_block_scalar(values, plan, entries, xs, d, acc)
-}
-
-/// AVX2 evaluation kernel: 4 query points per subspace visit.
-///
-/// Bitwise-identity notes (each step mirrors [`cell_and_basis`] and the
-/// scalar loop exactly):
-/// * the cell index is truncated and clamped in the f64 domain
-///   (`roundscale` toward zero + `min`), which agrees with the scalar
-///   `(pos as u64).min(cells-1)` for every in-domain input;
-/// * `index1` is accumulated in f64 (`idx·2^l + c` stays below 2^30,
-///   exact) and narrowed with `cvttpd` for the gather;
-/// * lanes whose hat product is zero are masked out of the gather and
-///   contribute `prod·0 = +0.0`; the accumulator can never hold `-0.0`
-///   (it starts at `+0.0` and `+0.0 + -0.0 = +0.0`), so the masked add
-///   is bit-neutral — the scalar early-break needs no vector analogue;
-/// * products and accumulations use separate mul/add, never FMA.
+/// AVX2 evaluation kernel: 4 query points per subspace visit. Per
+/// dimension it loads the hat and cell rows, multiplies the product and
+/// shifts-and-adds the 64-bit index; lanes whose product is zero are
+/// masked out of the gather and add `+0.0·0 = +0.0`, which leaves the
+/// accumulator's bits alone because it starts at `+0.0` and so never
+/// holds `-0.0`. Points past the last whole vector run the portable
+/// loop.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{eval_tail_scalar, EvalPlan};
+    use super::{eval_entry, Basis, EvalPlan};
 
     /// # Safety
     /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-    /// `xt` must be the block's coordinates in SoA layout
-    /// (`transpose_block`), `k·d` long.
+    /// `basis` must hold the tables of the `acc.len()` points of the
+    /// block for every level of `plan`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn eval_block(
         values: &[f64],
         plan: &EvalPlan,
         entries: std::ops::Range<usize>,
-        xs: &[f64],
-        d: usize,
-        xt: &[f64],
+        basis: &Basis,
+        prod: &mut [f64],
+        idx: &mut [u64],
         acc: &mut [f64],
     ) -> u64 {
         use std::arch::x86_64::*;
         let k = acc.len();
-        let vec_k = k & !3; // lane groups of 4; remainder goes scalar
+        let vec_k = k & !3; // lane groups of 4; the rest go portable
         let mut reads = 0u64;
-        let one = _mm256_set1_pd(1.0);
-        let two = _mm256_set1_pd(2.0);
-        let sign = _mm256_set1_pd(-0.0);
         let zero = _mm256_setzero_pd();
+        let hat = basis.hat.as_ptr();
+        let cell = basis.cell.as_ptr();
         for e in entries {
             let (l, index2) = plan.entry(e);
             let base = values[index2..].as_ptr();
+            let r0 = basis.row(0, l[0]);
             let mut j = 0usize;
             while j < vec_k {
-                let mut prod = one;
-                let mut idx = zero;
-                for t in 0..d {
-                    let cells = 1u64 << l[t] as u32;
-                    let cells_f = _mm256_set1_pd(cells as f64);
-                    let cmax = _mm256_set1_pd((cells - 1) as f64);
-                    let x = _mm256_loadu_pd(xt.as_ptr().add(t * k + j));
-                    let pos = _mm256_mul_pd(x, cells_f);
-                    let c = _mm256_min_pd(
-                        _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(pos),
-                        cmax,
+                let mut p = _mm256_loadu_pd(hat.add(r0 + j));
+                let mut i = _mm256_loadu_si256(cell.add(r0 + j) as *const __m256i);
+                for (t, &lt) in l.iter().enumerate().skip(1) {
+                    let r = basis.row(t, lt) + j;
+                    p = _mm256_mul_pd(p, _mm256_loadu_pd(hat.add(r)));
+                    i = _mm256_add_epi64(
+                        _mm256_sll_epi64(i, _mm_cvtsi32_si128(lt as i32)),
+                        _mm256_loadu_si256(cell.add(r) as *const __m256i),
                     );
-                    let frac = _mm256_sub_pd(pos, c);
-                    let b = _mm256_sub_pd(
-                        one,
-                        _mm256_andnot_pd(sign, _mm256_sub_pd(_mm256_mul_pd(two, frac), one)),
-                    );
-                    idx = _mm256_add_pd(_mm256_mul_pd(idx, cells_f), c);
-                    prod = _mm256_mul_pd(prod, b);
                 }
-                let mask = _mm256_cmp_pd::<_CMP_NEQ_UQ>(prod, zero);
+                let mask = _mm256_cmp_pd::<_CMP_NEQ_UQ>(p, zero);
                 let mbits = _mm256_movemask_pd(mask);
                 if mbits != 0 {
-                    let vidx = _mm256_cvttpd_epi32(idx);
-                    let vals = _mm256_mask_i32gather_pd::<8>(zero, base, vidx, mask);
+                    let vals = _mm256_mask_i64gather_pd::<8>(zero, base, i, mask);
                     let a = _mm256_loadu_pd(acc.as_ptr().add(j));
                     _mm256_storeu_pd(
                         acc.as_mut_ptr().add(j),
-                        _mm256_add_pd(a, _mm256_mul_pd(prod, vals)),
+                        _mm256_add_pd(a, _mm256_mul_pd(p, vals)),
                     );
                     reads += mbits.count_ones() as u64;
                 }
                 j += 4;
             }
-            reads += eval_tail_scalar(values, l, index2, xs, d, acc, vec_k);
+            if vec_k < k {
+                reads += eval_entry(values, l, index2, basis, vec_k..k, prod, idx, acc);
+            }
         }
         reads
     }
 }
 
-/// NEON evaluation kernel: 2 query points per subspace visit. The hat
-/// product and `index1` arithmetic are vectorized; the (tiny) gather
-/// runs per lane, replicating the scalar skip-on-zero. Same bitwise
-/// contract as the AVX2 kernel.
+/// NEON evaluation kernel: 2 query points per subspace visit, the AVX2
+/// kernel's table loop on 128-bit vectors. The (tiny) gather runs per
+/// lane and skips a zero product.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{eval_tail_scalar, EvalPlan};
+    use super::{eval_entry, Basis, EvalPlan};
 
     /// # Safety
     /// NEON is part of the aarch64 baseline; `resolve` never selects it
-    /// elsewhere. `xt` must be the block's coordinates in SoA layout
-    /// (`transpose_block`), `k·d` long.
+    /// elsewhere. `basis` must hold the tables of the `acc.len()` points
+    /// of the block for every level of `plan`.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn eval_block(
         values: &[f64],
         plan: &EvalPlan,
         entries: std::ops::Range<usize>,
-        xs: &[f64],
-        d: usize,
-        xt: &[f64],
+        basis: &Basis,
+        prod: &mut [f64],
+        idx: &mut [u64],
         acc: &mut [f64],
     ) -> u64 {
         use std::arch::aarch64::*;
         let k = acc.len();
         let vec_k = k & !1;
         let mut reads = 0u64;
-        let one = vdupq_n_f64(1.0);
-        let two = vdupq_n_f64(2.0);
+        let hat = basis.hat.as_ptr();
+        let cell = basis.cell.as_ptr();
         for e in entries {
             let (l, index2) = plan.entry(e);
             let base = values[index2..].as_ptr();
+            let r0 = basis.row(0, l[0]);
             let mut j = 0usize;
             while j < vec_k {
-                let mut prod = one;
-                let mut idx = vdupq_n_f64(0.0);
-                for t in 0..d {
-                    let cells = 1u64 << l[t] as u32;
-                    let cells_f = vdupq_n_f64(cells as f64);
-                    let cmax = vdupq_n_f64((cells - 1) as f64);
-                    let x = vld1q_f64(xt.as_ptr().add(t * k + j));
-                    let pos = vmulq_f64(x, cells_f);
-                    // vrndq = FRINTZ, round toward zero: matches the
-                    // scalar `pos as u64` truncation.
-                    let c = vminq_f64(vrndq_f64(pos), cmax);
-                    let frac = vsubq_f64(pos, c);
-                    let b = vsubq_f64(one, vabsq_f64(vsubq_f64(vmulq_f64(two, frac), one)));
-                    idx = vaddq_f64(vmulq_f64(idx, cells_f), c);
-                    prod = vmulq_f64(prod, b);
+                let mut p = vld1q_f64(hat.add(r0 + j));
+                let mut i = vld1q_u64(cell.add(r0 + j));
+                for (t, &lt) in l.iter().enumerate().skip(1) {
+                    let r = basis.row(t, lt) + j;
+                    p = vmulq_f64(p, vld1q_f64(hat.add(r)));
+                    i = vaddq_u64(vshlq_u64(i, vdupq_n_s64(lt as i64)), vld1q_u64(cell.add(r)));
                 }
-                let p0 = vgetq_lane_f64::<0>(prod);
-                let p1 = vgetq_lane_f64::<1>(prod);
+                let p0 = vgetq_lane_f64::<0>(p);
+                let p1 = vgetq_lane_f64::<1>(p);
                 if p0 != 0.0 {
-                    let i0 = vgetq_lane_f64::<0>(idx) as usize;
-                    acc[j] += p0 * *base.add(i0);
+                    acc[j] += p0 * *base.add(vgetq_lane_u64::<0>(i) as usize);
                     reads += 1;
                 }
                 if p1 != 0.0 {
-                    let i1 = vgetq_lane_f64::<1>(idx) as usize;
-                    acc[j + 1] += p1 * *base.add(i1);
+                    acc[j + 1] += p1 * *base.add(vgetq_lane_u64::<1>(i) as usize);
                     reads += 1;
                 }
                 j += 2;
             }
-            reads += eval_tail_scalar(values, l, index2, xs, d, acc, vec_k);
+            if vec_k < k {
+                reads += eval_entry(values, l, index2, basis, vec_k..k, prod, idx, acc);
+            }
         }
         reads
     }

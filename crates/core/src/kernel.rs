@@ -1,9 +1,11 @@
 //! Runtime-dispatched SIMD kernel selection.
 //!
 //! Blocked batch evaluation exists in three implementations: a portable
-//! scalar one, an AVX2 one (x86_64) and a NEON one (aarch64), all built
-//! from `std::arch` only — no external dependencies, matching the
-//! workspace's vendor-free rule. Hierarchization has no SIMD kernel:
+//! one (`scalar`, a loop the compiler vectorizes), an AVX2 one (x86_64)
+//! and a NEON one (aarch64), the last two built from `std::arch` only —
+//! no external dependencies, matching the workspace's vendor-free rule.
+//! All three read the same per-block basis tables (see
+//! `crate::evaluate`). Hierarchization has no SIMD kernel:
 //! its pole-run stencil is an element-wise loop without a reduction,
 //! which the compiler already vectorizes, and hand-written AVX2/NEON
 //! versions of it measured at parity with that scalar loop. Which
@@ -15,10 +17,12 @@
 //!    `neon`), read once per process, else
 //! 3. `auto`: the widest ISA the host supports.
 //!
-//! Every kernel is **bitwise identical** to the scalar reference —
-//! same operations, same rounding, no FMA contraction, same
-//! reduction order per output element — so selection can never change
-//! a result, only its speed. That contract is enforced by the
+//! Every kernel is **bitwise identical** to the scalar reference
+//! `evaluate`, for four reasons: each reads the per-dimension factors
+//! `cell_and_basis` produced, multiplies them in the same order (never
+//! FMA), forms the coefficient index in exact integers, and reads no
+//! coefficient where the hat product is zero. So selection can never
+//! change a result, only its speed. That contract is enforced by the
 //! `kernel_matrix` integration test and the fourth differential-fuzz
 //! tier (scalar ↔ SIMD compared bitwise).
 //!
@@ -45,7 +49,7 @@ tel! {
 /// One concrete kernel implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Portable scalar reference — always available.
+    /// Portable table loop — always available.
     Scalar,
     /// 256-bit AVX2 (x86_64), 4 × f64 lanes.
     Avx2,
