@@ -19,8 +19,8 @@
 //! compact algorithm re-run under `sg_core::kernel` forced to the scalar
 //! kernel and forced to the detected SIMD kernel (AVX2/NEON — on hosts
 //! without SIMD the forced "SIMD" kind degrades to scalar and the tier
-//! passes trivially). The SIMD kernels are constructed as exact
-//! reorder-free transcriptions of the scalar arithmetic, so tier D is
+//! passes trivially). Every kernel reads the same `cell_and_basis`
+//! factors in the same product order with an exact index, so tier D is
 //! compared **bitwise** against tier A on `evaluate`, `batch-*` and
 //! `combination` cases. Hierarchization has a single scalar sweep, so
 //! `hierarchize` and `roundtrip` carry no tier D.
