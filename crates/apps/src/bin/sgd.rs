@@ -12,11 +12,16 @@
 //! in-flight requests. `--listen 127.0.0.1:0` picks a free port and
 //! prints it.
 //!
+//! Each connection evaluates its own requests on its own thread, after
+//! a FIFO admission gate over the points in flight; the sg-par pool
+//! width is fixed at start-up.
+//!
 //! SIGTERM, SIGINT, or a control-plane `shutdown` all trigger the same
 //! two-phase drain: admissions stop (new work gets a typed
-//! `shutting_down`), every already-accepted job finishes and flushes,
-//! then the process exits 0. A drain that overruns `SGD_DRAIN_TIMEOUT_MS`
-//! is forced and exits 1 so supervisors can tell the difference.
+//! `shutting_down`), every request already admitted or waiting for
+//! admission finishes and flushes, then the process exits 0. A drain
+//! that overruns `SGD_DRAIN_TIMEOUT_MS` is forced and exits 1 so
+//! supervisors can tell the difference.
 
 use sg_serve::{Engine, Fleet, ServeConfig, Server};
 use std::io::Write;
@@ -46,15 +51,19 @@ WIRE FORMAT (one frame = [kind: u8][len: u32 LE][payload]):
     0x02 CtrlResp   sg-json object, {\"ok\":true,...}
     0x10 EvalReq    [name_len u16 LE][name][deadline_ms u32 LE]
                     [npoints u32 LE][xs f64 LE]
-                    (deadline_ms 0 = none; a request still queued when
-                    its deadline passes gets a typed deadline_exceeded)
+                    (deadline_ms 0 = none; a request still waiting for
+                    admission when its deadline passes gets a typed
+                    deadline_exceeded and is not evaluated)
     0x11 EvalResp   [flags u8][npoints u32 LE][ys f64 LE]
                     (flags bit 0 = served by a degraded model)
     0x1F Error      sg-json {\"error\":\"<code>\",\"message\":\"...\"}
 
 ENVIRONMENT:
-    SGD_QUEUE_DEPTH       admission queue depth (default 256)
-    SGD_BATCH_MAX_POINTS  max points per coalesced batch and per request
+    SGD_QUEUE_DEPTH       requests that may wait for admission; one more
+                          is answered overloaded (default 256)
+    SGD_BATCH_MAX_POINTS  max points per request, and the budget of points
+                          in flight across requests; a request of more
+                          than 64 points takes the whole budget
                           (default 16384)
     SGD_MAX_FRAME         max frame payload bytes (default 16777216)
     SGD_MAX_MODELS        fleet capacity (default 64)
@@ -66,13 +75,14 @@ ENVIRONMENT:
                           shutdown before the stop is forced
                           (default 10000, min 1)
     SG_KERNEL             evaluation kernel: auto|scalar|avx2|neon
-    SG_PAR_THREADS        sg-par pool width
+    SG_PAR_THREADS        sg-par pool width, read once at start-up
 
 SHUTDOWN:
     SIGTERM / SIGINT / ctrl {\"cmd\":\"shutdown\"} stop admissions
-    (typed shutting_down), finish and flush every accepted job, then
-    exit 0. A drain that exceeds SGD_DRAIN_TIMEOUT_MS is forced and
-    exits 1.
+    (typed shutting_down), finish and flush every request already
+    admitted or waiting for admission, then exit 0. A drain that
+    exceeds SGD_DRAIN_TIMEOUT_MS is forced (waiting requests fail
+    shutting_down) and exits 1.
 
 EXIT CODES:
     0 clean shutdown   1 forced drain   2 usage   3 bad snapshot
@@ -170,6 +180,9 @@ fn main() -> ExitCode {
         }
     }
 
+    // Fix the pool width for the daemon's lifetime, so pooled evaluations
+    // do not re-read SG_PAR_THREADS (an allocation) on every request.
+    sg_par::set_num_threads(sg_par::num_threads());
     let engine = Engine::new(fleet, cfg);
     let server = match Server::start(
         engine,

@@ -269,8 +269,8 @@ impl Client {
     }
 
     /// [`Client::eval_into`] with a relative deadline: the server fails
-    /// the request typed `deadline_exceeded` if it is still queued when
-    /// `deadline_ms` elapses (0 = no deadline).
+    /// the request typed `deadline_exceeded` if it is still waiting for
+    /// admission when `deadline_ms` elapses (0 = no deadline).
     pub fn eval_deadline_into(
         &mut self,
         model: &str,

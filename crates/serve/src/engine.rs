@@ -1,34 +1,43 @@
-//! The batching engine: bounded admission queue, request coalescing,
-//! and lane-aligned batch execution against the pinned model.
+//! The serving engine: admission control, then evaluation on the thread
+//! that read the request.
 //!
-//! Concurrent connections submit [`Job`]s into one bounded queue (a
-//! full queue is answered with a typed `overloaded` reply — admission
-//! control, not backpressure-by-hanging). A dedicated executor thread
-//! drains the queue, **coalesces** consecutive jobs targeting the same
-//! model into one flat batch (up to `batch_max_points`), pins an epoch,
-//! and evaluates the whole batch with
+//! A connection thread calls [`Engine::eval_into`] for each request: the
+//! engine resolves the model, validates the coordinates, waits at the
+//! admission gate, pins an epoch and evaluates with
 //! [`sg_core::evaluate::evaluate_batch_into`] through the model's shared
-//! [`sg_core::plan::EvalPlan`] — inline for a batch of one block, on the
-//! sg-par pool for a larger one. Per-point results are independent, so
-//! coalescing and chunking are bitwise-neutral: the daemon's answers are
-//! identical to direct `sg_core::evaluate` calls.
+//! [`sg_core::plan::EvalPlan`] — inline for one block, on the sg-par pool
+//! for more. Per-point results are independent, so the daemon's answers
+//! are bitwise identical to direct `sg_core::evaluate` calls.
+//!
+//! ## Admission
+//!
+//! The gate is one mutex and condvar over the points in flight, with
+//! `batch_max_points` as the budget. Every arrival takes a ticket and
+//! requests are admitted in ticket order, so a large request is never
+//! starved by small ones that arrive after it. A request of more than
+//! one block is charged the whole budget: it runs on the sg-par pool,
+//! which serves one region at a time with every worker, so it runs alone
+//! and the requests behind it wait here — in arrival order, under their
+//! deadlines and the drain — rather than inside the pool. An arrival
+//! that would wait while `queue_depth` requests already do is answered
+//! `overloaded`; a waiter whose deadline passes leaves with
+//! `deadline_exceeded`, unevaluated.
 //!
 //! ## Zero-allocation steady state
 //!
 //! Every buffer on the request path is owned and reused: the
-//! connection's [`Job`] (coordinates in, results out — ffsvm's
-//! `Problem` idiom), the executor's staging/batch buffers, the
-//! evaluator's per-thread scratch (owned by sg-core), and the queue
-//! itself (preallocated to its depth; `Arc<Job>` clones only bump a
-//! refcount). After warm-up, a one-block request allocates nothing on
-//! client, queue, or executor side — asserted by a counting-allocator
-//! test.
+//! connection's coordinates and results (ffsvm's `Problem` idiom), the
+//! evaluator's per-thread scratch (owned by sg-core) and the gate's line
+//! of waiting tickets (preallocated to the queue depth). After warm-up a
+//! request allocates nothing — asserted by a counting-allocator test
+//! for one-block requests, and for pooled ones once the pool width is
+//! fixed, as `sgd` fixes it at start-up.
 
+use crate::epoch::Participant;
 use crate::fleet::{Fleet, Model};
 use crate::protocol::ServeError;
 use sg_core::evaluate::{evaluate_batch_into, BLOCK};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -39,13 +48,9 @@ static POINTS: sg_telemetry::Counter = sg_telemetry::Counter::new("serve.points"
 #[cfg(feature = "telemetry")]
 static OVERLOADS: sg_telemetry::Counter = sg_telemetry::Counter::new("serve.overload");
 #[cfg(feature = "telemetry")]
-static BATCHES: sg_telemetry::Counter = sg_telemetry::Counter::new("serve.batches");
-#[cfg(feature = "telemetry")]
 static QUEUE_DEPTH: sg_telemetry::Histogram = sg_telemetry::Histogram::new("serve.queue.depth");
 #[cfg(feature = "telemetry")]
 static BATCH_POINTS: sg_telemetry::Histogram = sg_telemetry::Histogram::new("serve.batch.points");
-#[cfg(feature = "telemetry")]
-static BATCH_JOBS: sg_telemetry::Histogram = sg_telemetry::Histogram::new("serve.batch.jobs");
 #[cfg(feature = "telemetry")]
 static BATCH_NS: sg_telemetry::Histogram = sg_telemetry::Histogram::new("serve.batch.ns");
 #[cfg(feature = "telemetry")]
@@ -66,11 +71,12 @@ static DEGRADED_REQUESTS: sg_telemetry::Counter =
 /// Tunables for the daemon, each with an `SGD_*` environment knob.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Admission queue depth (`SGD_QUEUE_DEPTH`, default 256, min 1).
+    /// Most requests that may wait for admission at once
+    /// (`SGD_QUEUE_DEPTH`, default 256, min 1); an arrival that would
+    /// wait beyond it is answered `overloaded`.
     pub queue_depth: usize,
-    /// Max points one coalesced batch executes
-    /// (`SGD_BATCH_MAX_POINTS`, default 16384, min 1). Also the per-
-    /// request point ceiling.
+    /// Points one request may carry, and the budget of points in flight
+    /// across all requests (`SGD_BATCH_MAX_POINTS`, default 16384, min 1).
     pub batch_max_points: usize,
     /// Max wire-frame payload bytes (`SGD_MAX_FRAME`, default 16 MiB,
     /// min 64).
@@ -89,8 +95,8 @@ pub struct ServeConfig {
     /// closed and counted under `serve.conn.idle_reaped`.
     pub idle_timeout_ms: usize,
     /// Graceful-drain bound in milliseconds (`SGD_DRAIN_TIMEOUT_MS`,
-    /// default 10000, min 1): on shutdown, accepted jobs get this long
-    /// to finish and flush before the drain is forced.
+    /// default 10000, min 1): on shutdown, admitted and waiting requests
+    /// get this long to finish and flush before the drain is forced.
     pub drain_timeout_ms: usize,
 }
 
@@ -125,134 +131,155 @@ impl ServeConfig {
     }
 }
 
-/// Request lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Owned by the connection; buffers may be rewritten.
-    Idle,
-    /// In the admission queue or being executed.
-    Queued,
-    /// Results are in `out`.
-    Done,
-    /// `err` describes the failure.
-    Failed,
+/// The admission gate's state.
+struct GateState {
+    /// Points held by admitted requests.
+    in_flight: usize,
+    /// Ticket of the next arrival.
+    next_ticket: u64,
+    /// Tickets of the requests waiting for admission, oldest first; only
+    /// the front one may be admitted.
+    line: VecDeque<u64>,
+    /// Arrivals are rejected; waiting requests still go through.
+    draining: bool,
+    /// Arrivals are rejected and waiting requests fail `shutting_down`.
+    stopped: bool,
 }
 
-/// Mutable request state: coordinates in, results out.
-struct JobState {
-    phase: Phase,
-    /// Fleet slot the request targets (resolved by the submitter).
-    slot: usize,
-    /// Dimensionality the coordinates were laid out for.
-    dim: usize,
-    /// Absolute expiry instant (None = no deadline). A job still queued
-    /// past this instant fails typed instead of burning pool time.
-    deadline: Option<Instant>,
-    /// The model that produced `out` was serving degraded (valid in
-    /// `Done`).
-    degraded: bool,
-    /// Flat query coordinates (`npoints · dim`).
-    xs: Vec<f64>,
-    /// Flat results (`npoints`), valid in `Done`.
-    out: Vec<f64>,
-    err: Option<ServeError>,
-}
-
-/// A connection's reusable request workspace. One `Job` lives as long
-/// as its connection and carries every per-request buffer, so the
-/// steady-state request path allocates nothing.
-pub struct Job {
-    state: Mutex<JobState>,
+/// Admission control: a budget of points in flight and a FIFO line of
+/// waiting requests.
+struct Gate {
+    state: Mutex<GateState>,
+    /// Signalled when points are released, the line moves, or the
+    /// engine drains or stops.
     cv: Condvar,
+    budget: usize,
+    depth: usize,
 }
 
-impl Job {
-    fn new() -> Arc<Job> {
-        Arc::new(Job {
-            state: Mutex::new(JobState {
-                phase: Phase::Idle,
-                slot: 0,
-                dim: 0,
-                deadline: None,
-                degraded: false,
-                xs: Vec::new(),
-                out: Vec::new(),
-                err: None,
-            }),
-            cv: Condvar::new(),
-        })
-    }
+/// An admitted request's share of the budget, released on drop.
+struct Permit<'a> {
+    gate: &'a Gate,
+    points: usize,
+}
 
-    fn lock(&self) -> MutexGuard<'_, JobState> {
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Read the results of a completed request: `f` sees the output
-    /// slice. Panics if the job is not `Done`.
-    pub fn with_results<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
-        let st = self.lock();
-        assert_eq!(st.phase, Phase::Done, "job has no results to read");
-        f(&st.out)
-    }
-
-    /// Whether the completed request was served by a degraded model
-    /// (lost snapshot sections evaluated as zero). Panics unless `Done`.
-    pub fn served_degraded(&self) -> bool {
-        let st = self.lock();
-        assert_eq!(st.phase, Phase::Done, "job has no results to read");
-        st.degraded
-    }
-
-    /// Return a completed (or never-submitted) job to `Idle` so it can
-    /// be prepared again. Must not be called while the job is in flight.
-    pub fn recycle(&self) {
+    /// Wait for `points` of the budget, in arrival order. Fails
+    /// `shutting_down` once the engine drains (for arrivals) or stops
+    /// (also for waiters), `overloaded` when the arrival would wait and
+    /// the line is full, and `deadline_exceeded` when `deadline` passes
+    /// before admission.
+    fn admit(&self, points: usize, deadline: Option<Instant>) -> Result<Permit<'_>, ServeError> {
         let mut st = self.lock();
-        assert_ne!(st.phase, Phase::Queued, "cannot recycle an in-flight job");
-        st.phase = Phase::Idle;
-        st.err = None;
+        if st.stopped || st.draining {
+            tel! {
+                if st.draining {
+                    DRAIN_REJECTED.add(1);
+                }
+            }
+            return Err(ServeError::ShuttingDown);
+        }
+        tel! {
+            QUEUE_DEPTH.record(st.line.len() as u64);
+        }
+        let must_wait = !st.line.is_empty() || st.in_flight + points > self.budget;
+        if must_wait && st.line.len() >= self.depth {
+            tel! {
+                OVERLOADS.add(1);
+            }
+            return Err(ServeError::Overloaded);
+        }
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        st.line.push_back(ticket);
+        loop {
+            let now = Instant::now();
+            let expired = deadline.is_some_and(|d| d <= now);
+            if st.stopped || expired {
+                let at = st.line.iter().position(|&t| t == ticket);
+                st.line
+                    .remove(at.expect("a waiting request holds its place in line"));
+                self.cv.notify_all();
+                if st.stopped {
+                    return Err(ServeError::ShuttingDown);
+                }
+                tel! {
+                    DEADLINE_EXPIRED.add(1);
+                }
+                return Err(ServeError::DeadlineExceeded);
+            }
+            if st.line.front() == Some(&ticket) && st.in_flight + points <= self.budget {
+                break;
+            }
+            st = match deadline {
+                Some(d) => {
+                    self.cv
+                        .wait_timeout(st, d - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                None => self.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+            };
+        }
+        st.line.pop_front();
+        st.in_flight += points;
+        if !st.line.is_empty() {
+            // The new front may fit beside this request.
+            self.cv.notify_all();
+        }
+        tel! {
+            if deadline.is_some() {
+                DEADLINE_MET.add(1);
+            }
+            if st.draining {
+                DRAIN_FLUSHED.add(1);
+            }
+        }
+        Ok(Permit { gate: self, points })
     }
 }
 
-struct Shared {
-    queue: Mutex<VecDeque<Arc<Job>>>,
-    work_cv: Condvar,
-    /// Hard stop: queued jobs fail with `shutting_down`.
-    shutdown: AtomicBool,
-    /// Graceful drain: admissions rejected, accepted jobs still execute
-    /// and flush; the executor exits once the queue runs dry.
-    draining: AtomicBool,
-    cfg: ServeConfig,
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut st = self.gate.lock();
+        st.in_flight -= self.points;
+        // Nobody to wake on the common path: no line, no drain.
+        if !st.line.is_empty() || st.draining {
+            self.gate.cv.notify_all();
+        }
+    }
 }
 
-/// The serving engine: fleet + admission queue + executor thread.
+/// The serving engine: the fleet, the configuration and the admission
+/// gate. It owns no thread; requests run on their callers' threads.
 pub struct Engine {
     fleet: Arc<Fleet>,
-    shared: Arc<Shared>,
-    executor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    cfg: ServeConfig,
+    gate: Gate,
 }
 
 impl Engine {
-    /// Build an engine over `fleet` and start its executor thread.
+    /// Build an engine over `fleet`.
     pub fn new(fleet: Arc<Fleet>, cfg: ServeConfig) -> Arc<Engine> {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::with_capacity(cfg.queue_depth)),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            cfg,
-        });
-        let executor = {
-            let fleet = Arc::clone(&fleet);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sgd-executor".into())
-                .spawn(move || executor_loop(&fleet, &shared))
-                .expect("spawning the sgd executor failed")
-        };
         Arc::new(Engine {
             fleet,
-            shared,
-            executor: Mutex::new(Some(executor)),
+            cfg,
+            gate: Gate {
+                state: Mutex::new(GateState {
+                    in_flight: 0,
+                    next_ticket: 0,
+                    line: VecDeque::with_capacity(cfg.queue_depth),
+                    draining: false,
+                    stopped: false,
+                }),
+                cv: Condvar::new(),
+                budget: cfg.batch_max_points,
+                depth: cfg.queue_depth,
+            },
         })
     }
 
@@ -263,395 +290,152 @@ impl Engine {
 
     /// Engine configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.shared.cfg
+        &self.cfg
     }
 
-    /// Allocate a connection workspace (once per connection).
-    pub fn make_job(&self) -> Arc<Job> {
-        Job::new()
-    }
-
-    /// Prepare `job` for a request against `slot`: `fill` writes the
-    /// flat coordinates into the job's reused buffer and returns the
-    /// point count. Validates shape and domain — out-of-domain points
-    /// must be rejected here with a typed error, never panic the
-    /// executor. `deadline` (absolute; `None` = unbounded) is checked by
-    /// the executor before evaluation starts.
-    pub fn prepare(
+    /// Evaluate one request on the calling thread: `xs` holds `dim`
+    /// coordinates per point, and `out` receives one result per point.
+    /// Returns whether the answering model serves degraded. Bad shapes,
+    /// empty or oversized requests and out-of-domain points are rejected
+    /// typed before admission; `deadline` (absolute, `None` = unbounded)
+    /// is screened while the request waits for admission. `reader` is
+    /// the caller's epoch registration (one per connection), so a
+    /// steady-state request allocates nothing.
+    pub fn eval_into(
         &self,
-        job: &Job,
-        slot: usize,
+        reader: &Participant<Model>,
+        model: &str,
         dim: usize,
         deadline: Option<Instant>,
-        fill: impl FnOnce(&mut Vec<f64>),
-    ) -> Result<(), ServeError> {
-        let mut st = job.lock();
-        assert_eq!(st.phase, Phase::Idle, "job reused while in flight");
-        st.slot = slot;
-        st.dim = dim;
-        st.deadline = deadline;
-        st.xs.clear();
-        fill(&mut st.xs);
-        if dim == 0 || st.xs.len() % dim != 0 {
+        xs: &[f64],
+        out: &mut Vec<f64>,
+    ) -> Result<bool, ServeError> {
+        let unknown = || ServeError::UnknownModel(model.to_owned());
+        let slot = self.fleet.resolve(model).ok_or_else(unknown)?;
+        let npoints = self.validate(dim, xs)?;
+        let charge = if npoints > BLOCK {
+            self.cfg.batch_max_points
+        } else {
+            npoints
+        };
+        let _permit = self.gate.admit(charge, deadline)?;
+        let guard = reader.pin();
+        // `None` when the model was unloaded while the request waited.
+        let m = self.fleet.get(slot, &guard).ok_or_else(unknown)?;
+        if m.dim() != dim {
+            return Err(ServeError::ShapeMismatch {
+                expected: dim,
+                actual: m.dim(),
+            });
+        }
+        out.clear();
+        out.resize(npoints, 0.0);
+        #[cfg(feature = "telemetry")]
+        let t0 = Instant::now();
+        // The evaluator validates its inputs by panicking; `validate` has
+        // already rejected bad requests, so this is the last resort.
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            evaluate_batch_into(&m.grid, xs, BLOCK, &m.plan, out)
+        }))
+        .map_err(|_| ServeError::BadRequest("evaluation failed".into()))?;
+        tel! {
+            BATCH_NS.record(t0.elapsed().as_nanos() as u64);
+            BATCH_POINTS.record(npoints as u64);
+            REQUESTS.add(1);
+            POINTS.add(npoints as u64);
+            m.record_served(1, npoints as u64);
+            if m.is_degraded() {
+                DEGRADED_REQUESTS.add(1);
+            }
+        }
+        Ok(m.is_degraded())
+    }
+
+    /// Convenience for tests and control paths: [`Engine::eval_into`]
+    /// with a fresh reader and result vector and no deadline.
+    pub fn eval(&self, model: &str, dim: usize, xs: &[f64]) -> Result<Vec<f64>, ServeError> {
+        let mut out = Vec::new();
+        self.eval_into(
+            &self.fleet.register_reader(),
+            model,
+            dim,
+            None,
+            xs,
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    /// The request's point count, or a typed rejection of its shape,
+    /// size or domain. Out-of-domain points must be rejected here: the
+    /// evaluator panics on them.
+    fn validate(&self, dim: usize, xs: &[f64]) -> Result<usize, ServeError> {
+        if dim == 0 || xs.len() % dim != 0 {
             return Err(ServeError::BadRequest(format!(
                 "coordinate count {} is not a multiple of the dimensionality {dim}",
-                st.xs.len()
+                xs.len()
             )));
         }
-        let npoints = st.xs.len() / dim;
+        let npoints = xs.len() / dim;
         if npoints == 0 {
             return Err(ServeError::BadRequest("request carries zero points".into()));
         }
-        if npoints > self.shared.cfg.batch_max_points {
+        if npoints > self.cfg.batch_max_points {
             return Err(ServeError::BadRequest(format!(
                 "request of {npoints} points exceeds the {}-point limit",
-                self.shared.cfg.batch_max_points
+                self.cfg.batch_max_points
             )));
         }
-        if !st
-            .xs
-            .iter()
-            .all(|v| v.is_finite() && (0.0..=1.0).contains(v))
-        {
+        if !xs.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)) {
             return Err(ServeError::BadRequest(
                 "query point outside the unit domain".into(),
             ));
         }
-        Ok(())
+        Ok(npoints)
     }
 
-    /// Submit a prepared job. Admission control happens here: a full
-    /// queue rejects immediately with [`ServeError::Overloaded`].
-    pub fn submit(&self, job: &Arc<Job>) -> Result<(), ServeError> {
-        {
-            let mut st = job.lock();
-            st.phase = Phase::Queued;
-            st.err = None;
-        }
-        let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-        // Checked under the queue lock: the executor only decides to
-        // exit (drain complete) while holding this lock and seeing an
-        // empty queue, so a job admitted here is guaranteed to execute.
-        if self.shared.shutdown.load(Ordering::SeqCst)
-            || self.shared.draining.load(Ordering::SeqCst)
-        {
-            job.lock().phase = Phase::Idle;
-            tel! {
-                if self.shared.draining.load(Ordering::SeqCst) {
-                    DRAIN_REJECTED.add(1);
-                }
-            }
-            return Err(ServeError::ShuttingDown);
-        }
-        if q.len() >= self.shared.cfg.queue_depth {
-            job.lock().phase = Phase::Idle;
-            tel! {
-                OVERLOADS.add(1);
-            }
-            return Err(ServeError::Overloaded);
-        }
-        q.push_back(Arc::clone(job));
-        tel! {
-            QUEUE_DEPTH.record(q.len() as u64);
-        }
-        drop(q);
-        self.shared.work_cv.notify_one();
-        Ok(())
-    }
-
-    /// Block until `job` completes; leaves the job `Idle` for reuse.
-    /// On success the results are readable via [`Job::with_results`]
-    /// until the next [`Engine::prepare`].
-    pub fn wait(&self, job: &Job) -> Result<(), ServeError> {
-        let mut st = job.lock();
-        while st.phase == Phase::Queued {
-            st = job.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        match st.phase {
-            Phase::Done => Ok(()),
-            Phase::Failed => {
-                st.phase = Phase::Idle;
-                Err(st.err.take().unwrap_or(ServeError::ShuttingDown))
-            }
-            Phase::Idle | Phase::Queued => unreachable!("woken in phase {:?}", st.phase),
-        }
-    }
-
-    /// Convenience: prepare + submit + wait, returning the results as a
-    /// fresh vector (test/control paths; the hot path uses the pieces).
-    pub fn eval(
-        &self,
-        job: &Arc<Job>,
-        model: &str,
-        dim: usize,
-        xs: &[f64],
-    ) -> Result<Vec<f64>, ServeError> {
-        let slot = self
-            .fleet
-            .resolve(model)
-            .ok_or_else(|| ServeError::UnknownModel(model.to_owned()))?;
-        {
-            // Reset a job left in `Done` by a previous eval.
-            let mut st = job.lock();
-            if st.phase == Phase::Done {
-                st.phase = Phase::Idle;
-            }
-        }
-        self.prepare(job, slot, dim, None, |buf| buf.extend_from_slice(xs))?;
-        self.submit(job)?;
-        self.wait(job)?;
-        let out = job.with_results(|ys| ys.to_vec());
-        job.lock().phase = Phase::Idle;
-        Ok(out)
-    }
-
-    /// Abort: fail queued jobs with `shutting_down`, stop the executor,
-    /// and join it. Idempotent. For a graceful stop that finishes
-    /// accepted work, use [`Engine::drain`] first.
+    /// Abort: reject arrivals and fail waiting requests with
+    /// `shutting_down`; admitted requests finish. Idempotent. For a
+    /// graceful stop that serves the waiting requests too, use
+    /// [`Engine::drain`] first.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.work_cv.notify_all();
-        if let Some(h) = self
-            .executor
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            let _ = h.join();
-        }
+        self.gate.lock().stopped = true;
+        self.gate.cv.notify_all();
     }
 
-    /// Graceful drain: stop admissions (further [`Engine::submit`]s fail
-    /// typed `shutting_down`), finish and flush every already-accepted
-    /// job, then stop the executor. Bounded by `limit`: if the queue has
-    /// not run dry in time, the drain escalates to a hard shutdown and
-    /// the stragglers fail typed. Returns `true` when every accepted
-    /// job completed within the bound. Idempotent with `shutdown`.
+    /// Graceful drain: reject arrivals typed `shutting_down`, and wait
+    /// until every admitted request has finished and every waiting one
+    /// has been admitted and finished. Bounded by `limit`: past it the
+    /// drain escalates to [`Engine::shutdown`] and the requests still
+    /// waiting fail typed. Returns `true` when nothing was left in flight
+    /// or waiting within the bound.
     pub fn drain(&self, limit: Duration) -> bool {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.work_cv.notify_all();
         let deadline = Instant::now() + limit;
-        let mut executor = self.executor.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(h) = executor.take() else {
-            return true; // already stopped
-        };
-        while !h.is_finished() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let clean = h.is_finished();
-        if !clean {
-            tel! {
-                DRAIN_FORCED.add(1);
-            }
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            self.shared.work_cv.notify_all();
-        }
-        let _ = h.join();
-        clean
-    }
-
-    /// Current queue length (stats).
-    pub fn queue_len(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Fail a job with `err` and wake its waiter.
-fn fail(job: &Job, err: ServeError) {
-    let mut st = job.lock();
-    st.phase = Phase::Failed;
-    st.err = Some(err);
-    job.cv.notify_all();
-}
-
-/// The executor: drain → coalesce → pin → evaluate → scatter.
-fn executor_loop(fleet: &Arc<Fleet>, shared: &Arc<Shared>) {
-    let cfg = shared.cfg;
-    let reader = fleet.register_reader();
-    // Steady-state buffers, grown once and reused forever.
-    let mut batch: Vec<Arc<Job>> = Vec::with_capacity(cfg.queue_depth);
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(cfg.queue_depth);
-    let mut xs_all: Vec<f64> = Vec::new();
-    let mut out_all: Vec<f64> = Vec::new();
-
-    loop {
-        batch.clear();
-        let slot0;
-        {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let first = loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
-                // Empty queue + stop request: drain complete (this is
-                // the only exit, and it happens under the queue lock —
-                // the other half of the submit-side race guard).
-                if shared.shutdown.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst)
-                {
-                    return;
-                }
-                q = shared.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            };
-            let now = Instant::now();
-            let (s0, mut points) = {
-                let st = first.lock();
-                (st.slot, st.xs.len() / st.dim.max(1))
-            };
-            slot0 = s0;
-            batch.push(first);
-            // Coalesce queued jobs for the same model, preserving FIFO
-            // order among them, until the batch budget is spent. Jobs
-            // whose deadline already passed are failed typed here, before
-            // any pool time is spent on them.
-            let mut i = 0;
-            while i < q.len() {
-                let (slot, npoints, expired) = {
-                    let st = q[i].lock();
-                    (
-                        st.slot,
-                        st.xs.len() / st.dim.max(1),
-                        st.deadline.is_some_and(|d| d <= now),
-                    )
-                };
-                if expired {
-                    let job = q.remove(i).expect("index checked");
-                    tel! {
-                        DEADLINE_EXPIRED.add(1);
-                    }
-                    fail(&job, ServeError::DeadlineExceeded);
-                } else if slot == slot0 && points + npoints <= cfg.batch_max_points {
-                    points += npoints;
-                    batch.push(q.remove(i).expect("index checked"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            for job in &batch {
-                fail(job, ServeError::ShuttingDown);
-            }
-            continue;
-        }
-        // Expiry check for the batch itself (the coalesce pass above
-        // only scans jobs still in the queue).
-        let now = Instant::now();
-        batch.retain(|job| {
-            let expired = job.lock().deadline.is_some_and(|d| d <= now);
-            if expired {
+        let mut st = self.gate.lock();
+        st.draining = true;
+        while st.in_flight > 0 || !st.line.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 tel! {
-                    DEADLINE_EXPIRED.add(1);
+                    DRAIN_FORCED.add(1);
                 }
-                fail(job, ServeError::DeadlineExceeded);
+                st.stopped = true;
+                self.gate.cv.notify_all();
+                return false;
             }
-            !expired
-        });
-        if batch.is_empty() {
-            continue;
+            st = self
+                .gate
+                .cv
+                .wait_timeout(st, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
-        tel! {
-            DEADLINE_MET.add(batch.iter().filter(|j| j.lock().deadline.is_some()).count() as u64);
-            if shared.draining.load(Ordering::SeqCst) {
-                DRAIN_FLUSHED.add(batch.len() as u64);
-            }
-        }
-
-        let guard = reader.pin();
-        let Some(model) = fleet.get(slot0, &guard) else {
-            for job in &batch {
-                // The connection substitutes the name it resolved.
-                fail(job, ServeError::UnknownModel(String::new()));
-            }
-            continue;
-        };
-        execute_batch(model, &batch, &mut spans, &mut xs_all, &mut out_all);
-        drop(guard);
-    }
-}
-
-/// Evaluate one coalesced batch against the pinned model and scatter
-/// results back to the jobs. Shape-mismatched jobs (the model was
-/// swapped to a different dimensionality mid-flight) get typed errors;
-/// the rest proceed.
-fn execute_batch(
-    model: &Model,
-    batch: &[Arc<Job>],
-    spans: &mut Vec<(usize, usize)>,
-    xs_all: &mut Vec<f64>,
-    out_all: &mut Vec<f64>,
-) {
-    let d = model.dim();
-    xs_all.clear();
-    spans.clear();
-    for job in batch {
-        let st = job.lock();
-        if st.dim != d {
-            let (expected, actual) = (st.dim, d);
-            drop(st);
-            fail(job, ServeError::ShapeMismatch { expected, actual });
-            spans.push((usize::MAX, 0));
-            continue;
-        }
-        let start = xs_all.len() / d;
-        xs_all.extend_from_slice(&st.xs);
-        spans.push((start, st.xs.len() / d));
-    }
-    let total = xs_all.len() / d.max(1);
-    if total == 0 {
-        return;
-    }
-    out_all.clear();
-    out_all.resize(total, 0.0);
-
-    #[cfg(feature = "telemetry")]
-    let t0 = std::time::Instant::now();
-    // The evaluator validates its inputs by panicking; `prepare` has
-    // already rejected bad requests, so this is the last resort.
-    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        evaluate_batch_into(&model.grid, xs_all, BLOCK, &model.plan, out_all)
-    }))
-    .is_err();
-    tel! {
-        if !panicked {
-            let jobs = spans.iter().filter(|s| s.0 != usize::MAX).count() as u64;
-            REQUESTS.add(jobs);
-            POINTS.add(total as u64);
-            BATCHES.add(1);
-            BATCH_JOBS.record(jobs);
-            BATCH_POINTS.record(total as u64);
-            BATCH_NS.record(t0.elapsed().as_nanos() as u64);
-            model.record_served(jobs, total as u64);
-            if model.is_degraded() {
-                DEGRADED_REQUESTS.add(jobs);
-            }
-        }
+        true
     }
 
-    let degraded = model.is_degraded();
-    for (job, &(start, npoints)) in batch.iter().zip(spans.iter()) {
-        if start == usize::MAX {
-            continue; // already failed with ShapeMismatch
-        }
-        if panicked {
-            fail(job, ServeError::BadRequest("evaluation failed".into()));
-            continue;
-        }
-        let mut st = job.lock();
-        st.out.clear();
-        st.out.extend_from_slice(&out_all[start..start + npoints]);
-        st.degraded = degraded;
-        st.phase = Phase::Done;
-        job.cv.notify_all();
+    /// Requests waiting for admission (stats).
+    pub fn queue_len(&self) -> usize {
+        self.gate.lock().line.len()
     }
 }
 
@@ -672,15 +456,29 @@ mod tests {
         path
     }
 
-    #[test]
-    fn engine_answers_match_direct_evaluation_bitwise() {
-        let path = snapshot("bitwise");
+    /// An engine serving the test model as "m", with `cfg`.
+    fn engine_with(tag: &str, cfg: ServeConfig) -> (Arc<Engine>, std::path::PathBuf) {
+        let path = snapshot(tag);
         let fleet = Fleet::new(2);
         fleet.load("m", &path).unwrap();
-        let engine = Engine::new(Arc::clone(&fleet), ServeConfig::default());
-        let job = engine.make_job();
+        (Engine::new(fleet, cfg), path)
+    }
+
+    /// Spin until `cond` holds; another thread is expected to make it so.
+    fn wait_until(cond: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while !cond() {
+            assert!(Instant::now() < give_up, "condition never held");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn engine_answers_match_direct_evaluation_bitwise() {
+        let (engine, path) = engine_with("bitwise", ServeConfig::default());
         let xs: Vec<f64> = (0..3 * 97).map(|i| (i as f64 * 0.37).fract()).collect();
-        let got = engine.eval(&job, "m", 3, &xs).unwrap();
+        let got = engine.eval("m", 3, &xs).unwrap();
+        let fleet = engine.fleet();
         let reference = fleet
             .with_model(&fleet.register_reader(), "m", |m| {
                 sg_core::evaluate::evaluate_batch(&m.grid, &xs)
@@ -690,177 +488,206 @@ mod tests {
         for (g, r) in got.iter().zip(reference.iter()) {
             assert_eq!(g.to_bits(), r.to_bits(), "daemon diverged from direct eval");
         }
-        engine.shutdown();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unknown_model_and_bad_requests_are_typed() {
-        let path = snapshot("typed");
-        let fleet = Fleet::new(2);
-        fleet.load("m", &path).unwrap();
-        let engine = Engine::new(Arc::clone(&fleet), ServeConfig::default());
-        let job = engine.make_job();
+        let (engine, path) = engine_with("typed", ServeConfig::default());
         assert!(matches!(
-            engine.eval(&job, "nope", 3, &[0.5, 0.5, 0.5]),
+            engine.eval("nope", 3, &[0.5, 0.5, 0.5]),
             Err(ServeError::UnknownModel(_))
         ));
         assert!(matches!(
-            engine.eval(&job, "m", 3, &[0.5, 0.5]),
+            engine.eval("m", 3, &[0.5, 0.5]),
             Err(ServeError::BadRequest(_))
         ));
         assert!(matches!(
-            engine.eval(&job, "m", 3, &[]),
+            engine.eval("m", 3, &[]),
             Err(ServeError::BadRequest(_))
         ));
         assert!(matches!(
-            engine.eval(&job, "m", 3, &[0.5, 0.5, 1.5]),
+            engine.eval("m", 3, &[0.5, 0.5, 1.5]),
             Err(ServeError::BadRequest(_))
         ));
-        // The job is reusable after every typed failure.
-        assert_eq!(
-            engine.eval(&job, "m", 3, &[0.5, 0.5, 0.5]).unwrap().len(),
-            1
-        );
-        engine.shutdown();
+        assert!(matches!(
+            engine.eval("m", 2, &[0.5, 0.5]),
+            Err(ServeError::ShapeMismatch {
+                expected: 2,
+                actual: 3
+            })
+        ));
+        // The engine serves again after every typed failure.
+        assert_eq!(engine.eval("m", 3, &[0.5, 0.5, 0.5]).unwrap().len(), 1);
+        assert_eq!(engine.queue_len(), 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn concurrent_submitters_all_complete() {
-        let path = snapshot("concurrent");
-        let fleet = Fleet::new(2);
-        fleet.load("m", &path).unwrap();
-        let engine = Engine::new(Arc::clone(&fleet), ServeConfig::default());
+        let (engine, path) = engine_with("concurrent", ServeConfig::default());
         std::thread::scope(|s| {
             for t in 0..8 {
                 let engine = &engine;
                 s.spawn(move || {
-                    let job = engine.make_job();
+                    let reader = engine.fleet().register_reader();
+                    let mut out = Vec::new();
                     for r in 0..50 {
                         let x = ((t * 131 + r * 17) % 100) as f64 / 100.0;
-                        let got = engine.eval(&job, "m", 3, &[x, x, x]).unwrap();
-                        assert_eq!(got.len(), 1);
+                        engine
+                            .eval_into(&reader, "m", 3, None, &[x, x, x], &mut out)
+                            .unwrap();
+                        assert_eq!(out.len(), 1);
                     }
                 });
             }
         });
-        engine.shutdown();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn overload_is_reported_not_queued() {
-        let path = snapshot("overload");
-        let fleet = Fleet::new(2);
-        fleet.load("m", &path).unwrap();
         let cfg = ServeConfig {
             queue_depth: 1,
+            batch_max_points: 4,
             ..ServeConfig::default()
         };
-        let engine = Engine::new(Arc::clone(&fleet), cfg);
-        // Stuff the queue faster than the executor can drain by
-        // submitting without waiting.
-        let mut jobs = Vec::new();
-        let mut overloads = 0;
-        for _ in 0..64 {
-            let job = engine.make_job();
-            engine
-                .prepare(&job, fleet.resolve("m").unwrap(), 3, None, |b| {
-                    b.extend_from_slice(&[0.5, 0.5, 0.5])
-                })
-                .unwrap();
-            match engine.submit(&job) {
-                Ok(()) => jobs.push(job),
-                Err(ServeError::Overloaded) => overloads += 1,
-                Err(e) => panic!("unexpected {e}"),
+        let (engine, path) = engine_with("overload", cfg);
+        // Hold the whole budget, so every request has to wait.
+        let held = engine.gate.admit(4, None).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| engine.eval("m", 3, &[0.5; 3]));
+            wait_until(|| engine.queue_len() == 1);
+            // The line is full: further arrivals are shed at once.
+            for _ in 0..3 {
+                assert!(matches!(
+                    engine.eval("m", 3, &[0.5; 3]),
+                    Err(ServeError::Overloaded)
+                ));
             }
-        }
-        for job in &jobs {
-            engine.wait(job).unwrap();
-        }
-        // With depth 1 and 64 rapid submissions, at least one must have
-        // been admitted and the test must have seen both outcomes or
-        // the executor simply kept up (all admitted) — either way no
-        // request hung.
-        assert!(!jobs.is_empty());
-        let _ = overloads;
-        engine.shutdown();
+            drop(held);
+            assert_eq!(waiter.join().unwrap().unwrap().len(), 1);
+        });
+        // With the budget free again, a request is admitted at once.
+        assert_eq!(engine.eval("m", 3, &[0.5; 3]).unwrap().len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn expired_deadline_fails_typed_without_evaluation() {
-        let path = snapshot("deadline");
-        let fleet = Fleet::new(2);
-        fleet.load("m", &path).unwrap();
-        let engine = Engine::new(Arc::clone(&fleet), ServeConfig::default());
-        let job = engine.make_job();
-        // A deadline already in the past must come back typed, never as
+        let cfg = ServeConfig {
+            batch_max_points: 4,
+            ..ServeConfig::default()
+        };
+        let (engine, path) = engine_with("deadline", cfg);
+        let reader = engine.fleet().register_reader();
+        let mut out = Vec::new();
+        let x = [0.5; 3];
+        // A deadline already in the past comes back typed, never as
         // results.
         let past = Instant::now() - Duration::from_millis(5);
-        engine
-            .prepare(&job, fleet.resolve("m").unwrap(), 3, Some(past), |b| {
-                b.extend_from_slice(&[0.5, 0.5, 0.5])
-            })
-            .unwrap();
-        engine.submit(&job).unwrap();
         assert!(matches!(
-            engine.wait(&job),
+            engine.eval_into(&reader, "m", 3, Some(past), &x, &mut out),
             Err(ServeError::DeadlineExceeded)
         ));
-        // A generous deadline still succeeds, and the job is reusable.
-        job.recycle();
+        // So does one that passes while the request waits for admission.
+        let held = engine.gate.admit(4, None).unwrap();
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert!(matches!(
+            engine.eval_into(&reader, "m", 3, Some(soon), &x, &mut out),
+            Err(ServeError::DeadlineExceeded)
+        ));
+        assert!(Instant::now() >= soon);
+        assert!(out.is_empty(), "an expired request was evaluated");
+        assert_eq!(engine.queue_len(), 0, "the expired request left the line");
+        drop(held);
+        // A generous deadline is met.
         let future = Instant::now() + Duration::from_secs(60);
-        engine
-            .prepare(&job, fleet.resolve("m").unwrap(), 3, Some(future), |b| {
-                b.extend_from_slice(&[0.5, 0.5, 0.5])
-            })
+        let degraded = engine
+            .eval_into(&reader, "m", 3, Some(future), &x, &mut out)
             .unwrap();
-        engine.submit(&job).unwrap();
-        engine.wait(&job).unwrap();
-        assert!(!job.served_degraded());
-        engine.shutdown();
+        assert!(!degraded);
+        assert_eq!(out.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn drain_completes_accepted_jobs_and_rejects_new_ones() {
-        let path = snapshot("drain");
-        let fleet = Fleet::new(2);
-        fleet.load("m", &path).unwrap();
-        let engine = Engine::new(Arc::clone(&fleet), ServeConfig::default());
-        // Queue a burst of jobs without waiting on them.
-        let mut jobs = Vec::new();
-        for _ in 0..32 {
-            let job = engine.make_job();
-            engine
-                .prepare(&job, fleet.resolve("m").unwrap(), 3, None, |b| {
-                    b.extend_from_slice(&[0.25, 0.5, 0.75])
-                })
-                .unwrap();
-            if engine.submit(&job).is_ok() {
-                jobs.push(job);
+        let cfg = ServeConfig {
+            batch_max_points: 4,
+            ..ServeConfig::default()
+        };
+        let (engine, path) = engine_with("drain", cfg);
+        let x = [0.25, 0.5, 0.75];
+        let held = engine.gate.admit(4, None).unwrap();
+        std::thread::scope(|s| {
+            // Requests already waiting when the drain begins are served.
+            let waiters: Vec<_> = (0..3)
+                .map(|_| s.spawn(|| engine.eval("m", 3, &x)))
+                .collect();
+            wait_until(|| engine.queue_len() == 3);
+            let drain = s.spawn(|| engine.drain(Duration::from_secs(30)));
+            wait_until(|| engine.gate.lock().draining);
+            // An arrival after it begins is rejected typed.
+            assert!(matches!(
+                engine.eval("m", 3, &x),
+                Err(ServeError::ShuttingDown)
+            ));
+            drop(held);
+            for w in waiters {
+                assert_eq!(w.join().unwrap().unwrap().len(), 1);
             }
-        }
-        assert!(engine.drain(Duration::from_secs(30)), "drain was forced");
-        // Every accepted job completed with results — zero lost.
-        for job in &jobs {
-            engine.wait(job).unwrap();
-            job.with_results(|ys| assert_eq!(ys.len(), 1));
-        }
-        // Post-drain admissions are typed shutting_down.
-        let late = engine.make_job();
-        engine
-            .prepare(&late, fleet.resolve("m").unwrap(), 3, None, |b| {
-                b.extend_from_slice(&[0.5, 0.5, 0.5])
-            })
-            .unwrap();
+            assert!(drain.join().unwrap(), "drain was forced");
+        });
         assert!(matches!(
-            engine.submit(&late),
+            engine.eval("m", 3, &x),
             Err(ServeError::ShuttingDown)
         ));
-        engine.shutdown();
+
+        // A forced drain fails the requests still waiting, typed.
         std::fs::remove_file(&path).ok();
+        let (engine, path) = engine_with("drain-forced", cfg);
+        let held = engine.gate.admit(4, None).unwrap();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| engine.eval("m", 3, &x));
+            wait_until(|| engine.queue_len() == 1);
+            assert!(
+                !engine.drain(Duration::from_millis(20)),
+                "drain was not forced"
+            );
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(ServeError::ShuttingDown)
+            ));
+        });
+        drop(held);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn full_budget_waiter_is_admitted_before_later_small_requests() {
+        let cfg = ServeConfig {
+            batch_max_points: 8,
+            ..ServeConfig::default()
+        };
+        let engine = Engine::new(Fleet::new(1), cfg);
+        let admitted = Mutex::new(Vec::new());
+        let held = engine.gate.admit(1, None).unwrap();
+        std::thread::scope(|s| {
+            let admit = |points: usize| {
+                let _permit = engine.gate.admit(points, None).unwrap();
+                admitted.lock().unwrap().push(points);
+            };
+            // The full budget does not fit beside the held point...
+            s.spawn(move || admit(8));
+            wait_until(|| engine.queue_len() == 1);
+            // ...and single points, which would fit, queue behind it.
+            for _ in 0..3 {
+                s.spawn(move || admit(1));
+            }
+            wait_until(|| engine.queue_len() == 4);
+            drop(held);
+        });
+        assert_eq!(admitted.into_inner().unwrap(), [8, 1, 1, 1]);
     }
 }

@@ -57,7 +57,7 @@ impl<T> EpochDomain<T> {
     }
 
     /// Register a reader. Registration allocates; it happens once per
-    /// connection/executor, never per request.
+    /// connection, never per request.
     pub fn register(self: &Arc<Self>) -> Participant<T> {
         let cell = Arc::new(AtomicU64::new(QUIESCENT));
         lock_clean(&self.participants).push(Arc::clone(&cell));

@@ -9,7 +9,7 @@
 //! map — contended only by load/unload, never by swap), then pin an
 //! epoch and read the slot's `AtomicPtr`. **Swap** builds the new model
 //! off to the side, replaces the pointer, and retires the old model
-//! through the [`crate::epoch`] domain: in-flight batches keep their
+//! through the [`crate::epoch`] domain: in-flight evaluations keep their
 //! pinned model until they finish, so a swap under load never blocks a
 //! reader and never frees a model someone is still evaluating.
 
@@ -69,7 +69,8 @@ pub struct Model {
     pub name: String,
     /// Hierarchized coefficients.
     pub grid: CompactGrid<f64>,
-    /// Flattened subspace walk shared by every batch against this model.
+    /// Flattened subspace walk shared by every evaluation against this
+    /// model.
     pub plan: EvalPlan,
     /// Snapshot provenance stamp.
     pub provenance: String,
@@ -157,7 +158,8 @@ impl Model {
         !self.lost_groups.is_empty()
     }
 
-    /// Bump this model's `serve.model.<name>.*` counters after a batch.
+    /// Bump this model's `serve.model.<name>.*` counters after an
+    /// evaluation.
     /// No-op without the `telemetry` feature.
     #[allow(unused_variables)]
     pub fn record_served(&self, requests: u64, points: u64) {
@@ -198,7 +200,7 @@ impl Fleet {
     }
 
     /// Register a reader with the reclamation domain (one per
-    /// connection/executor, never per request).
+    /// connection, never per request).
     pub fn register_reader(&self) -> Participant<Model> {
         self.domain.register()
     }

@@ -16,19 +16,20 @@
 //! - a length-prefixed **wire protocol** ([`protocol`]): sg-json frames
 //!   for the control plane (load/unload/swap/stats), raw little-endian
 //!   `f64` frames for the data plane,
-//! - an **engine** ([`engine`]) that coalesces concurrent requests into
-//!   lane-aligned batches executed through the shared plan and SIMD
-//!   kernels, with a bounded admission queue and a typed overload
-//!   reply. Each connection owns a preallocated workspace (ffsvm's
-//!   `Problem` idiom), so the steady-state request path performs **zero
-//!   allocations**,
+//! - an **engine** ([`engine`]) that evaluates each request on the
+//!   connection thread that read it, through the shared plan and SIMD
+//!   kernels, after a FIFO admission gate over the points in flight
+//!   with a bounded line of waiters and a typed overload reply. Each
+//!   connection owns a preallocated workspace (ffsvm's `Problem` idiom),
+//!   so the steady-state request path performs **zero allocations**,
 //! - TCP and Unix-socket **front ends** ([`server`]) plus a blocking
 //!   [`client`] used by the load generator, the protocol tests, and the
 //!   CI smoke job.
 //!
-//! Telemetry (`serve.*` counters and histograms: queue depth, batch
-//! occupancy, request latency) is compiled in behind the `telemetry`
-//! cargo feature, mirroring the other crates.
+//! Telemetry (`serve.*` counters and histograms: requests waiting at
+//! admission, points and time per evaluation, request latency) is
+//! compiled in behind the `telemetry` cargo feature, mirroring the other
+//! crates.
 
 /// Wrap telemetry statements so they compile away without the feature.
 macro_rules! tel {

@@ -16,8 +16,9 @@
 //!
 //! `deadline_ms` is a *relative* budget (milliseconds from receipt; 0 =
 //! none): relative deadlines survive clock skew between client and
-//! server. A request still queued when its budget runs out is answered
-//! with a typed `deadline_exceeded` error instead of burning pool time.
+//! server. A request still waiting for admission when its budget runs out
+//! is answered with a typed `deadline_exceeded` error instead of burning
+//! pool time.
 //! `flags` bit 0 marks a response computed by a degraded model (a
 //! snapshot that lost sections and serves over surviving coefficients).
 //!
@@ -69,7 +70,7 @@ impl FrameKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The admission queue is full; retry later.
+    /// Too many requests are already waiting for admission; retry later.
     Overloaded,
     /// No model with the requested name is loaded.
     UnknownModel(String),
@@ -77,11 +78,11 @@ pub enum ServeError {
     /// payload shorter than its own header claims. Fatal per connection.
     BadFrame(String),
     /// Well-framed but semantically invalid request (zero points, a
-    /// coordinate outside `[0,1]`, point count over the batch limit,
+    /// coordinate outside `[0,1]`, point count over the per-request limit,
     /// malformed control JSON). The connection survives.
     BadRequest(String),
-    /// The model was swapped to a different dimensionality between
-    /// admission and execution.
+    /// The model serving the name has a different dimensionality than
+    /// the request (e.g. it was swapped while the request waited).
     ShapeMismatch {
         /// Dimensionality the request was built for.
         expected: usize,
@@ -149,7 +150,7 @@ impl ServeError {
     /// Human-readable detail for the `message` field.
     pub fn message(&self) -> String {
         match self {
-            ServeError::Overloaded => "admission queue full".into(),
+            ServeError::Overloaded => "too many requests waiting for admission".into(),
             ServeError::UnknownModel(name) => format!("no model named {name:?} is loaded"),
             ServeError::BadFrame(m) | ServeError::BadRequest(m) | ServeError::Model(m) => m.clone(),
             ServeError::ShapeMismatch { expected, actual } => {

@@ -1,10 +1,11 @@
 //! TCP and Unix-socket front ends for the serving engine.
 //!
-//! Each accepted connection gets its own thread and its own preallocated
-//! workspace — frame buffer, response buffer, wire scratch, and one
-//! reusable [`crate::engine::Job`] — so the steady-state request loop
-//! (`read_frame` → decode → submit → wait → encode → `write_frame`)
-//! performs no allocations after warm-up.
+//! Each accepted connection gets its own thread, which evaluates its own
+//! requests, and its own preallocated workspace — frame buffer, response
+//! buffer, wire scratch, decoded coordinates, results and one epoch
+//! registration — so the steady-state request loop (`read_frame` →
+//! decode → admit → evaluate → encode → `write_frame`) performs no
+//! allocations after warm-up.
 //!
 //! Error discipline follows [`ServeError::is_fatal`]: recoverable
 //! failures (unknown model, overload, bad request, shape mismatch,
@@ -18,11 +19,11 @@
 //! The server is a three-state machine: **accepting** → **draining** →
 //! **stopped**. A `shutdown` control command or [`Server::begin_drain`]
 //! moves to draining: new connections are closed unserved, idle ones close,
-//! new submissions fail typed `shutting_down`, but every job already
-//! accepted into the queue is executed and its response flushed before
-//! the process exits — bounded by the drain deadline, after which the
-//! drain escalates to a hard stop. [`Server::shutdown`] is the abrupt
-//! path (queued jobs fail typed).
+//! new requests fail typed `shutting_down`, but every request already
+//! admitted or waiting for admission is evaluated and its response
+//! flushed before the process exits — bounded by the drain deadline,
+//! after which the drain escalates to a hard stop. [`Server::shutdown`]
+//! is the abrupt path (waiting requests fail typed).
 //!
 //! ## Socket discipline
 //!
@@ -35,7 +36,9 @@
 //! best-effort), or a **drain close**. A half-open or deliberately slow
 //! peer can therefore never pin a connection thread.
 
-use crate::engine::{Engine, Job};
+use crate::engine::Engine;
+use crate::epoch::Participant;
+use crate::fleet::Model;
 use crate::protocol::{
     encode_error, encode_eval_resp, parse_eval_req, read_frame, write_frame, FrameKind, ServeError,
 };
@@ -204,16 +207,17 @@ impl Server {
         );
     }
 
-    /// Graceful two-phase stop: stop admissions, execute every job
-    /// already accepted into the queue, wait for every connection thread
-    /// to flush its response and hang up, then stop the listeners — all
-    /// bounded by `limit`, after which the drain escalates to a hard
-    /// shutdown (stragglers fail typed `shutting_down`). Returns `true`
-    /// when every accepted response was flushed within the bound.
+    /// Graceful two-phase stop: stop admissions, let every request
+    /// already admitted or waiting for admission finish, wait for every
+    /// connection thread to flush its response and hang up, then stop
+    /// the listeners — all bounded by `limit`, after which the drain
+    /// escalates to a hard shutdown (waiting requests fail typed
+    /// `shutting_down`). Returns `true` when every accepted response was
+    /// flushed within the bound.
     pub fn drain(&self, limit: Duration) -> bool {
         self.begin_drain();
         let deadline = Instant::now() + limit;
-        // Phase 1: the engine finishes everything admitted to the queue.
+        // Phase 1: the engine finishes everything admitted or waiting.
         let mut clean = self
             .engine
             .drain(deadline.saturating_duration_since(Instant::now()));
@@ -227,7 +231,7 @@ impl Server {
         clean
     }
 
-    /// Abrupt stop: queued jobs fail typed `shutting_down`, listeners
+    /// Abrupt stop: waiting requests fail typed `shutting_down`, listeners
     /// and helper threads are joined. Idempotent; safe after a drain.
     pub fn shutdown(&self) {
         self.finish();
@@ -534,8 +538,8 @@ impl Drop for ConnGuard<'_> {
     }
 }
 
-/// Per-connection reusable buffers (the connection's half of the
-/// zero-allocation contract; the job is the engine's half).
+/// Per-connection reusable state, so a steady-state request allocates
+/// nothing.
 struct ConnState {
     /// Incoming frame payloads (`read_frame` target).
     frame: Vec<u8>,
@@ -543,6 +547,12 @@ struct ConnState {
     payload: Vec<u8>,
     /// Serialized frame (header + payload) for single-write sends.
     wire: Vec<u8>,
+    /// Decoded query coordinates of the current request.
+    xs: Vec<f64>,
+    /// Results of the current request.
+    out: Vec<f64>,
+    /// Epoch registration, pinned around each evaluation.
+    reader: Participant<Model>,
 }
 
 fn handle_connection(stream: impl Read + Write, engine: &Arc<Engine>, ctl: &Control) {
@@ -559,11 +569,13 @@ fn handle_connection(stream: impl Read + Write, engine: &Arc<Engine>, ctl: &Cont
         Duration::from_millis(cfg.io_timeout_ms as u64),
         Duration::from_millis(cfg.idle_timeout_ms as u64),
     );
-    let job = engine.make_job();
     let mut st = ConnState {
         frame: Vec::new(),
         payload: Vec::new(),
         wire: Vec::new(),
+        xs: Vec::new(),
+        out: Vec::new(),
+        reader: engine.fleet().register_reader(),
     };
     loop {
         ts.begin_frame();
@@ -586,7 +598,7 @@ fn handle_connection(stream: impl Read + Write, engine: &Arc<Engine>, ctl: &Cont
             }
         };
         let result = match kind {
-            FrameKind::EvalReq => handle_eval(&mut ts, &mut st, engine, &job),
+            FrameKind::EvalReq => handle_eval(&mut ts, &mut st, engine),
             FrameKind::CtrlReq => handle_ctrl(&mut ts, &mut st, engine, ctl),
             _ => Err(ServeError::BadFrame(format!(
                 "unexpected {kind:?} frame from a client"
@@ -610,20 +622,15 @@ fn send_error(stream: &mut impl Write, st: &mut ConnState, err: &ServeError) {
     let _ = write_frame(stream, FrameKind::Error, &st.payload, &mut st.wire);
 }
 
-/// One data-plane request: decode → prepare → submit → wait → reply.
+/// One data-plane request: decode → evaluate → reply.
 fn handle_eval(
     stream: &mut impl Write,
     st: &mut ConnState,
-    engine: &Arc<Engine>,
-    job: &Arc<Job>,
+    engine: &Engine,
 ) -> Result<(), ServeError> {
     #[cfg(feature = "telemetry")]
     let t0 = std::time::Instant::now();
     let req = parse_eval_req(&st.frame)?;
-    let slot = engine
-        .fleet()
-        .resolve(req.model)
-        .ok_or_else(|| ServeError::UnknownModel(req.model.to_owned()))?;
     if req.npoints == 0 {
         return Err(ServeError::BadRequest("request carries zero points".into()));
     }
@@ -637,26 +644,14 @@ fn handle_eval(
     let dim = req.xs_bytes.len() / 8 / req.npoints;
     let deadline = (req.deadline_ms > 0)
         .then(|| Instant::now() + Duration::from_millis(req.deadline_ms as u64));
-    job.recycle();
-    let xs_bytes = req.xs_bytes;
-    engine.prepare(job, slot, dim, deadline, |buf| {
-        buf.extend(
-            xs_bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-        );
-    })?;
-    engine.submit(job)?;
-    if let Err(e) = engine.wait(job) {
-        // The executor does not know the name the client used.
-        return Err(match e {
-            ServeError::UnknownModel(_) => ServeError::UnknownModel(req.model.to_owned()),
-            other => other,
-        });
-    }
-    let degraded = job.served_degraded();
-    job.with_results(|ys| encode_eval_resp(&mut st.payload, ys, degraded));
-    job.recycle();
+    st.xs.clear();
+    st.xs.extend(
+        req.xs_bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+    );
+    let degraded = engine.eval_into(&st.reader, req.model, dim, deadline, &st.xs, &mut st.out)?;
+    encode_eval_resp(&mut st.payload, &st.out, degraded);
     write_frame(stream, FrameKind::EvalResp, &st.payload, &mut st.wire)?;
     tel! {
         REQUEST_NS.record(t0.elapsed().as_nanos() as u64);

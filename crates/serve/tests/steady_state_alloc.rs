@@ -1,7 +1,7 @@
 //! The zero-allocation contract, enforced: after warm-up, a request
-//! through the engine (prepare → submit → coalesce → evaluate → wait →
-//! read results) must not touch the allocator at all — on the submitting
-//! thread *or* the executor.
+//! through the engine (resolve → validate → admit → pin → evaluate into
+//! the caller's buffer) must not touch the allocator at all, on the
+//! calling thread or the sg-par pool.
 //!
 //! This file holds exactly one test: the counting allocator is global,
 //! so any concurrently running test would pollute the count.
@@ -65,24 +65,24 @@ fn steady_state_requests_do_not_allocate() {
     let fleet = Fleet::new(2);
     fleet.load("m", &path).unwrap();
     let engine = Engine::new(fleet, ServeConfig::default());
-    let slot = engine.fleet().resolve("m").unwrap();
-    let job = engine.make_job();
+    // One epoch registration and one result buffer, reused by every
+    // request, as a connection holds them.
+    let reader = engine.fleet().register_reader();
+    let mut out = Vec::new();
 
     // A request of `points` 3-d points: one evaluator block (`BLOCK` =
-    // 64 points) runs inline on the executor, several run on the pool.
-    let count_allocations = |points: usize| {
+    // 64 points) runs inline on the calling thread, several run on the
+    // pool.
+    let mut count_allocations = |points: usize| {
         let xs: Vec<f64> = (0..3 * points)
             .map(|i| ((i as f64) * 0.617_283).fract())
             .collect();
         let mut sink = 0.0;
         let allocations = allocations_per(100, 500, || {
             engine
-                .prepare(&job, slot, 3, None, |buf| buf.extend_from_slice(&xs))
+                .eval_into(&reader, "m", 3, None, &xs, &mut out)
                 .unwrap();
-            engine.submit(&job).unwrap();
-            engine.wait(&job).unwrap();
-            sink += job.with_results(|ys| ys[ys.len() - 1]);
-            job.recycle();
+            sink += out[out.len() - 1];
         });
         assert!(sink.is_finite());
         allocations
@@ -92,18 +92,26 @@ fn steady_state_requests_do_not_allocate() {
         inline, 0,
         "steady-state request path allocated {inline} times over 500 requests"
     );
-    // The pooled path's one allocation per request is the pool-width
-    // read: sg-par re-reads `SG_PAR_THREADS` for every region of more
-    // than one chunk, and reading a set variable allocates. Everything
-    // else on that path — the region, its telemetry books, the kernels
-    // and their scratch — must not allocate.
+    // With the width taken from the environment, the pooled path's one
+    // allocation per request is the width read: sg-par re-reads
+    // `SG_PAR_THREADS` for every region of more than one chunk, and
+    // reading a set variable allocates. Everything else on that path —
+    // the region, its telemetry books, the kernels and their scratch —
+    // must not allocate.
     let pooled = count_allocations(200);
     assert_eq!(
         pooled, 500,
         "pooled request path allocated {pooled} times over 500 requests; \
          only the one SG_PAR_THREADS read per request is expected"
     );
+    // Fixed at start-up, as `sgd` fixes it, the width is never read again
+    // and the pooled path allocates nothing either.
+    sg_par::set_num_threads(sg_par::num_threads());
+    let fixed = count_allocations(200);
+    assert_eq!(
+        fixed, 0,
+        "pooled request path with a fixed pool width allocated {fixed} times over 500 requests"
+    );
 
-    engine.shutdown();
     std::fs::remove_file(&path).ok();
 }

@@ -64,9 +64,9 @@ fn expired_deadline_is_typed_over_the_wire() {
     sg_io::write_snapshot_file(&g, &path, "resilience-test").unwrap();
     let fleet = Fleet::new(4);
     fleet.load("m", &path).unwrap();
-    // Allow quarter-million point jobs so each batch holds the executor
-    // for a long stretch even in release builds — the probe's 1 ms
-    // deadline must expire in the queue.
+    // Allow quarter-million point requests so each evaluation holds the
+    // admission budget for a long stretch even in release builds — the
+    // probe's 1 ms deadline must expire while it waits for admission.
     let cfg = ServeConfig {
         batch_max_points: 1 << 18,
         ..ServeConfig::default()
@@ -85,14 +85,14 @@ fn expired_deadline_is_typed_over_the_wire() {
     assert_eq!(out.len(), 1);
 
     // Then the contended path, retried to absorb scheduler noise: six
-    // loaders each park a quarter-million-point batch in the queue, and
-    // a 1 ms deadline submitted behind them expires before the executor
-    // gets to it.
+    // loaders each park a quarter-million-point request at the admission
+    // gate, and a 1 ms deadline submitted behind them expires before it
+    // is admitted.
     let mut saw_expiry = false;
     'attempts: for _ in 0..10 {
         // Optimized evaluation chews through a batch ~25x faster, so
         // release builds need proportionally heavier loads to hold the
-        // executor past the probe's deadline.
+        // admission budget past the probe's deadline.
         let pts: usize = if cfg!(debug_assertions) {
             1 << 15
         } else {
@@ -111,8 +111,13 @@ fn expired_deadline_is_typed_over_the_wire() {
                 })
             })
             .collect();
-        // Give the loaders a moment to be admitted ahead of us.
-        std::thread::sleep(Duration::from_millis(2));
+        // Wait until the loaders are admitted ahead of us: one holds the
+        // budget and another waits for it. Their frames take 5-50 ms to
+        // read and decode, far longer than the probe's own.
+        let arrival = Instant::now();
+        while server.engine().queue_len() == 0 && arrival.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
         let r = probe.eval_deadline_into("m", 3, 1, &[0.5, 0.5, 0.5], &mut out);
         for l in loaders {
             l.join().unwrap();

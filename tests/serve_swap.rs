@@ -32,7 +32,7 @@ fn query_batch(seed: u64, npoints: usize) -> Vec<f64> {
 }
 
 /// The daemon's answers must be bit-for-bit the library's answers, for
-/// batch sizes crossing lane, block, and coalescing boundaries.
+/// batch sizes crossing lane and block boundaries.
 #[test]
 fn served_answers_are_bitwise_identical_to_direct_evaluation() {
     let grid = make_grid(1.0);
