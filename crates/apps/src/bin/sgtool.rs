@@ -205,8 +205,8 @@ const USAGE: &str = "usage:
                   (fault-tolerant combination-technique executor: samples
                   every component grid as an independent task, checkpoints
                   the set through an SGCM manifest, recovers the run from
-                  the manifest, and cross-validates the combined
-                  interpolant against the direct sparse grid to 1e-9;
+                  the manifest into one folded compact grid, and
+                  cross-validates it against the direct sparse grid to 1e-9;
                   its fault injection is `sgtool fuzz --campaign
                   combination`; --bench appends results/BENCH_combine.json)
   sgtool combine verify MANIFEST
@@ -678,9 +678,10 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
         run.outcome
     );
 
-    // Cross-validate against the direct sparse grid interpolant: the
-    // combination identity is exact for interpolation, so the two must
-    // agree to 1e-9 (relative to the surplus scale) at every probe.
+    // Cross-validate the folded grid against the direct sparse grid
+    // interpolant: the combination identity is exact for interpolation,
+    // so the two must agree to 1e-9 (relative to the surplus scale) at
+    // every probe — and a clean run's fold is bitwise the direct grid.
     let t2 = std::time::Instant::now();
     let mut direct = CompactGrid::try_from_fn_parallel(spec, |x| f.eval(x))
         .map_err(|e| CliError::usage(format!("cannot build direct grid: {e}")))?;
@@ -689,7 +690,7 @@ fn cmd_combine_run(args: &[String]) -> Result<(), CliError> {
     let xs = sg_core::functions::halton_points(d, queries);
     let mut max_diff = 0.0f64;
     for x in xs.chunks_exact(d) {
-        max_diff = max_diff.max((run.grid.evaluate(x) - evaluate(&direct, x)).abs());
+        max_diff = max_diff.max((evaluate(&run.grid, x) - evaluate(&direct, x)).abs());
     }
     let crossval_secs = t2.elapsed().as_secs_f64();
     let tolerance = 1e-9 * scale;

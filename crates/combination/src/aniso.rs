@@ -59,32 +59,6 @@ impl<T: Real> AnisoFullGrid<T> {
         g
     }
 
-    /// Parallel sampling.
-    pub fn from_fn_parallel(levels: &[Level], f: impl Fn(&[f64]) -> T + Sync) -> Self {
-        let mut g = Self::new(levels);
-        let d = g.levels.len();
-        let per_dim = g.per_dim.clone();
-        const CHUNK: usize = 1024;
-        let per_dim = &per_dim;
-        sg_par::par_chunks_mut(&mut g.values, CHUNK, |ci, chunk| {
-            let mut multi = vec![0usize; d];
-            let mut x = vec![0.0f64; d];
-            let base = ci * CHUNK;
-            for (off, v) in chunk.iter_mut().enumerate() {
-                let mut rem = base + off;
-                for t in (0..d).rev() {
-                    multi[t] = rem % per_dim[t];
-                    rem /= per_dim[t];
-                }
-                for t in 0..d {
-                    x[t] = (multi[t] + 1) as f64 / (per_dim[t] + 1) as f64;
-                }
-                *v = f(&x);
-            }
-        });
-        g
-    }
-
     /// Rebuild a grid from a previously stored value array (e.g. a
     /// checkpoint payload). The values must be in the same row-major
     /// order [`Self::from_fn`] samples in.
@@ -209,14 +183,6 @@ mod tests {
         assert_eq!(g.len(), 3);
         assert_eq!(g.get(&[0, 0]), 2.5 + 0.5);
         assert_eq!(g.get(&[2, 0]), 7.5 + 0.5);
-    }
-
-    #[test]
-    fn parallel_sampling_matches() {
-        let f = |x: &[f64]| x[0] * x[1] - x[2];
-        let a = AnisoFullGrid::<f64>::from_fn(&[2, 1, 3], f);
-        let b = AnisoFullGrid::<f64>::from_fn_parallel(&[2, 1, 3], f);
-        assert_eq!(a, b);
     }
 
     #[test]

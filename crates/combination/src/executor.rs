@@ -31,14 +31,24 @@
 //!   surface as lost components at recovery time and are handled by the
 //!   policy, or become typed errors when nothing survivable remains.
 //!
+//! The recovered run leaves as one [`CompactGrid`] of hierarchical
+//! surpluses, not as the replicated component list: the executor folds
+//! the components it ends with into the compact structure, so the
+//! result evaluates, checkpoints and serves like any directly built
+//! grid. A Clean or Recomputed run equals direct
+//! hierarchization **bitwise**; a Reweighted run is the sparse grid
+//! interpolant on the surviving downset, with zero surplus outside it.
+//!
 //! Output is bitwise deterministic in the thread count and in task
 //! completion order: results are keyed by task index, never by arrival.
 
 use crate::aniso::AnisoFullGrid;
-use crate::reweight::solve_reweight;
-use crate::{CombinationGrid, Component};
+use crate::reweight::{dominates, solve_reweight, ReweightPlan};
+use crate::CombinationGrid;
 use sg_core::error::SgError;
-use sg_core::iter::for_each_level;
+use sg_core::grid::CompactGrid;
+use sg_core::hierarchize::hierarchize_parallel;
+use sg_core::iter::{for_each_level, for_each_point};
 use sg_core::level::{GridSpec, Level};
 use sg_core::real::Real;
 use sg_io::manifest::{recover_component_set, write_component_set, ComponentMeta};
@@ -147,9 +157,13 @@ pub enum RunOutcome {
 /// A completed (possibly recovered) run.
 #[derive(Debug, Clone)]
 pub struct ExecutorRun<T> {
-    /// The combined interpolant, assembled from checkpoint-recovered
-    /// values (plus recomputed or re-weighted components per policy).
-    pub grid: CombinationGrid<T>,
+    /// The combined interpolant as hierarchical surpluses on the run's
+    /// sparse grid, folded from checkpoint-recovered values (plus
+    /// recomputed components under Recompute).
+    pub grid: CompactGrid<T>,
+    /// The `(coefficient, levels)` support the grid was folded from: the
+    /// classical scheme, or the re-solved coefficients under Reweight.
+    pub coefficients: Vec<(i64, Vec<Level>)>,
     /// How recovery ended.
     pub outcome: RunOutcome,
     /// Task indices whose checkpoint sections were lost.
@@ -328,8 +342,9 @@ impl CombinationExecutor {
     }
 
     /// Recover a run from published manifest bytes, applying the
-    /// configured policy to any lost components. `f` is only sampled
-    /// under [`RecoveryPolicy::Recompute`] (and must be the function the
+    /// configured policy to any lost components, and fold the result
+    /// into one [`CompactGrid`]. `f` is only sampled under
+    /// [`RecoveryPolicy::Recompute`] (and must be the function the
     /// manifest was built from).
     pub fn recover_run<T: Real>(
         &self,
@@ -355,126 +370,126 @@ impl CombinationExecutor {
         }
         let lost = recovery.lost_components();
         tel! { EXEC_LOST.add(lost.len() as u64); }
-        let run = if lost.is_empty() {
-            self.assemble_scheme_run(&tasks, recovery.payloads, RunOutcome::Clean, Vec::new())
-        } else {
-            match self.cfg.policy {
-                RecoveryPolicy::Recompute => {
-                    let mut payloads = recovery.payloads;
-                    for &k in &lost {
-                        let grid = AnisoFullGrid::from_fn(&tasks[k].1, &f);
-                        payloads[k] = Some(grid.values().to_vec());
-                        tel! { EXEC_RECOMPUTED.add(1); }
-                    }
-                    self.assemble_scheme_run(
-                        &tasks,
-                        payloads,
-                        RunOutcome::Recomputed {
-                            components: lost.clone(),
-                        },
-                        lost,
-                    )
+        let mut payloads = recovery.payloads;
+        let scheme = || tasks.iter().filter(|(c, _)| *c != 0).cloned().collect();
+        let (coefficients, outcome) = match self.cfg.policy {
+            _ if lost.is_empty() => (scheme(), RunOutcome::Clean),
+            RecoveryPolicy::Recompute => {
+                for &k in &lost {
+                    let grid = AnisoFullGrid::from_fn(&tasks[k].1, &f);
+                    payloads[k] = Some(grid.values().to_vec());
+                    tel! { EXEC_RECOMPUTED.add(1); }
                 }
-                RecoveryPolicy::Reweight => {
-                    self.assemble_reweighted_run(&tasks, &recovery, lost)?
-                }
+                let components = lost.clone();
+                (scheme(), RunOutcome::Recomputed { components })
+            }
+            RecoveryPolicy::Reweight => {
+                let plan = self.reweight(&tasks, &recovery.info.components, &payloads, &lost)?;
+                tel! { EXEC_REWEIGHTED.add(1); }
+                let outcome = RunOutcome::Reweighted {
+                    dropped: lost.clone(),
+                    error_bound: plan.error_bound,
+                };
+                (plan.coefficients, outcome)
             }
         };
+        let grid = self.fold(&tasks, payloads, &coefficients)?;
         tel! { EXEC_RECOVER_NS.record(recover_t0.elapsed().as_nanos() as u64); }
-        Ok(run)
-    }
-
-    /// Build the run grid from the original scheme (coefficient ≠ 0
-    /// tasks) with every payload present.
-    fn assemble_scheme_run<T: Real>(
-        &self,
-        tasks: &[(i64, Vec<Level>)],
-        payloads: Vec<Option<Vec<T>>>,
-        outcome: RunOutcome,
-        lost: Vec<usize>,
-    ) -> ExecutorRun<T> {
-        let components = tasks
-            .iter()
-            .zip(payloads)
-            .filter(|((coefficient, _), _)| *coefficient != 0)
-            .map(|((coefficient, levels), payload)| Component {
-                coefficient: *coefficient,
-                grid: AnisoFullGrid::from_values(
-                    levels,
-                    payload.expect("caller supplies every scheme payload"),
-                ),
-            })
-            .collect();
-        ExecutorRun {
-            grid: CombinationGrid::from_components(self.spec, components),
+        Ok(ExecutorRun {
+            grid,
+            coefficients,
             outcome,
             lost_components: lost,
             tasks: tasks.len(),
             spares: tasks.iter().filter(|(c, _)| *c == 0).count(),
-        }
+        })
     }
 
-    /// Build the run grid from a re-solved coefficient set over the
-    /// surviving components.
-    fn assemble_reweighted_run<T: Real>(
+    /// Re-solve the coefficients over the components whose payloads
+    /// survived.
+    fn reweight<T>(
         &self,
         tasks: &[(i64, Vec<Level>)],
-        recovery: &sg_io::ComponentSetRecovery<T>,
-        lost: Vec<usize>,
-    ) -> Result<ExecutorRun<T>, SgError> {
+        metas: &[ComponentMeta],
+        payloads: &[Option<Vec<T>>],
+        lost: &[usize],
+    ) -> Result<ReweightPlan, SgError> {
         let d = self.spec.dim();
-        let n = self.spec.max_sum();
         let mut full_downset = Vec::new();
-        for s in 0..=n {
+        for s in 0..=self.spec.max_sum() {
             for_each_level(d, s, |l| full_downset.push(l.to_vec()));
         }
         let available: BTreeSet<Vec<Level>> = tasks
             .iter()
-            .enumerate()
-            .filter(|(k, _)| recovery.payloads[*k].is_some())
-            .map(|(_, (_, l))| l.clone())
+            .zip(payloads)
+            .filter(|(_, payload)| payload.is_some())
+            .map(|((_, l), _)| l.clone())
             .collect();
-        let max_abs: BTreeMap<Vec<Level>, f64> = recovery
-            .info
-            .components
+        let max_abs: BTreeMap<Vec<Level>, f64> = metas
             .iter()
             .map(|m| (m.levels.clone(), m.max_abs))
             .collect();
-        let plan = solve_reweight(tasks, &full_downset, &available, &max_abs).map_err(|why| {
+        solve_reweight(tasks, &full_downset, &available, &max_abs).map_err(|why| {
             SgError::Corrupt(format!(
                 "reweight infeasible over lost components {lost:?}: {why}"
             ))
-        })?;
-        let index_of: BTreeMap<&[Level], usize> = tasks
+        })
+    }
+
+    /// Fold the support components into one hierarchized sparse grid.
+    ///
+    /// Inside the downward closure of the support the combination
+    /// interpolant *is* the sparse grid interpolant, so the coefficients
+    /// do not enter: every subspace `l` copies its nodal values from any
+    /// support component `c ≥ l` — point `(l, i)` sits at multi-index
+    /// `(i_t << (c_t − l_t)) − 1`, and every component holding a point
+    /// stores the same `f(x)` bits — and the grid is hierarchized.
+    /// Subspaces no component dominates (only under Reweight) get zero
+    /// surplus; a surplus reads only its ancestors, which lie in the same
+    /// downset, so the zeroing is exact.
+    fn fold<T: Real>(
+        &self,
+        tasks: &[(i64, Vec<Level>)],
+        payloads: Vec<Option<Vec<T>>>,
+        support: &[(i64, Vec<Level>)],
+    ) -> Result<CompactGrid<T>, SgError> {
+        let parts: Vec<AnisoFullGrid<T>> = tasks
             .iter()
-            .enumerate()
-            .map(|(k, (_, l))| (l.as_slice(), k))
-            .collect();
-        let components = plan
-            .coefficients
-            .iter()
-            .map(|(coefficient, levels)| {
-                let k = index_of[levels.as_slice()];
-                let payload = recovery.payloads[k]
-                    .clone()
-                    .expect("solver only uses available components");
-                Component {
-                    coefficient: *coefficient,
-                    grid: AnisoFullGrid::from_values(levels, payload),
-                }
+            .zip(payloads)
+            .filter(|((_, l), _)| support.iter().any(|(_, c)| c == l))
+            .map(|((_, l), payload)| {
+                AnisoFullGrid::from_values(l, payload.expect("support payloads are present"))
             })
             .collect();
-        tel! { EXEC_REWEIGHTED.add(1); }
-        Ok(ExecutorRun {
-            grid: CombinationGrid::from_components(self.spec, components),
-            outcome: RunOutcome::Reweighted {
-                dropped: lost.clone(),
-                error_bound: plan.error_bound,
-            },
-            lost_components: lost,
-            tasks: tasks.len(),
-            spares: tasks.iter().filter(|(c, _)| *c == 0).count(),
-        })
+        let mut grid = CompactGrid::try_new(self.spec)?;
+        let d = self.spec.dim();
+        let values = grid.values_mut();
+        let mut at = vec![Level::MAX; d];
+        let mut pick = None;
+        let mut uncovered = Vec::new();
+        let mut multi = vec![0usize; d];
+        for_each_point(&self.spec, |idx, l, i| {
+            let idx = idx as usize;
+            if l != at {
+                at.copy_from_slice(l);
+                pick = parts.iter().find(|c| dominates(c.levels(), l));
+                if pick.is_none() {
+                    let n: u32 = l.iter().map(|&v| v as u32).sum();
+                    uncovered.push(idx..idx + (1 << n));
+                }
+            }
+            if let Some(c) = pick {
+                for t in 0..d {
+                    multi[t] = ((i[t] as usize) << (c.levels()[t] - l[t])) - 1;
+                }
+                values[idx] = c.get(&multi);
+            }
+        });
+        hierarchize_parallel(&mut grid);
+        for points in uncovered {
+            grid.values_mut()[points].fill(T::ZERO);
+        }
+        Ok(grid)
     }
 
     /// Full pipeline through an in-memory checkpoint: compute, write the
@@ -495,6 +510,7 @@ impl CombinationExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sg_core::evaluate::evaluate;
     use sg_io::FaultSink;
 
     fn test_fn(x: &[f64]) -> f64 {
@@ -511,22 +527,19 @@ mod tests {
         run
     }
 
-    fn grids_bitwise_equal(a: &CombinationGrid<f64>, b: &CombinationGrid<f64>) -> bool {
-        a.components().len() == b.components().len()
-            && a.components().iter().zip(b.components()).all(|(x, y)| {
-                x.coefficient == y.coefficient
-                    && x.grid.levels() == y.grid.levels()
-                    && x.grid.values() == y.grid.values()
-            })
+    fn bits(grid: &CompactGrid<f64>) -> Vec<u64> {
+        grid.values().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn clean_run_matches_from_fn_bitwise() {
         let spec = GridSpec::new(3, 4);
         let run = gold(spec);
-        let direct = CombinationGrid::<f64>::from_fn(spec, test_fn);
-        assert!(grids_bitwise_equal(&run.grid, &direct));
-        assert_eq!(run.tasks - run.spares, direct.components().len());
+        let mut direct = CompactGrid::<f64>::from_fn(spec, test_fn);
+        sg_core::hierarchize::hierarchize(&mut direct);
+        assert_eq!(bits(&run.grid), bits(&direct));
+        assert_eq!(run.coefficients, CombinationGrid::<f64>::scheme(spec));
+        assert_eq!(run.tasks - run.spares, run.coefficients.len());
         assert!(run.spares > 0);
     }
 
@@ -582,7 +595,7 @@ mod tests {
                     components: vec![k]
                 }
             );
-            assert!(grids_bitwise_equal(&run.grid, &reference.grid), "k={k}");
+            assert_eq!(bits(&run.grid), bits(&reference.grid), "k={k}");
         }
     }
 
@@ -620,15 +633,15 @@ mod tests {
             assert_eq!(dropped, &[k]);
             assert!(error_bound.is_finite() && error_bound >= 0.0);
             for x in xs.chunks_exact(3) {
-                let a = run.grid.evaluate(x);
-                let b = reference.grid.evaluate(x);
+                let a = evaluate(&run.grid, x);
+                let b = evaluate(&reference.grid, x);
                 assert!(
                     (a - b).abs() <= error_bound + 1e-9,
                     "k={k} x={x:?}: |{a} − {b}| exceeds bound {error_bound}"
                 );
             }
             // Constants must still be exact: coefficients sum to 1.
-            let total: i64 = run.grid.components().iter().map(|c| c.coefficient).sum();
+            let total: i64 = run.coefficients.iter().map(|(c, _)| c).sum();
             assert_eq!(total, 1, "k={k}");
         }
     }
@@ -652,7 +665,7 @@ mod tests {
         let torn = sink.into_published().unwrap();
         let run = exec.recover_run(&torn, test_fn).unwrap();
         assert!(!run.lost_components.is_empty());
-        assert!(grids_bitwise_equal(&run.grid, &reference.grid));
+        assert_eq!(bits(&run.grid), bits(&reference.grid));
     }
 
     #[test]
@@ -696,7 +709,7 @@ mod tests {
         )
         .run(test_fn)
         .unwrap();
-        assert!(grids_bitwise_equal(&with_spares.grid, &without.grid));
+        assert_eq!(bits(&with_spares.grid), bits(&without.grid));
     }
 
     #[test]

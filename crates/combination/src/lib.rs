@@ -16,10 +16,14 @@
 //! component solves parallelize trivially and vectorize well — but "grid
 //! points and corresponding function values have to be replicated across
 //! multiple full grids. Thus, higher memory requirements have to be met"
-//! (paper §7). This crate makes both sides measurable, and since the
-//! combination identity is *exact for interpolation*, it doubles as an
-//! independent cross-validation of the direct implementation in
-//! `sg-core`.
+//! (paper §7). [`CombinationGrid`] is that replicated form: it backs the
+//! §7 memory measurements and, through its nodal superposition
+//! [`CombinationGrid::evaluate`], serves as an independent test oracle
+//! for the direct implementation in `sg-core` — the combination identity
+//! is *exact for interpolation*. The fault-tolerant
+//! [`CombinationExecutor`] does not return that form: it folds the
+//! components it recovers into one `CompactGrid`, which stores each
+//! point once.
 
 /// Statement/item gate for instrumentation: compiled verbatim with the
 /// `telemetry` feature, compiled away without it (see `sg_core`'s twin).
@@ -87,22 +91,6 @@ impl<T: Real> CombinationGrid<T> {
         Self { spec, components }
     }
 
-    /// Assemble a combination from explicit components (e.g. recovered
-    /// checkpoint payloads or a re-weighted scheme). The component order
-    /// is preserved — evaluation sums in component order, so two grids
-    /// with identical components in identical order evaluate bitwise
-    /// identically.
-    pub fn from_components(spec: GridSpec, components: Vec<Component<T>>) -> Self {
-        for c in &components {
-            assert_eq!(
-                c.grid.levels().len(),
-                spec.dim(),
-                "component dimensionality mismatch"
-            );
-        }
-        Self { spec, components }
-    }
-
     /// Grid shape this combination represents.
     pub fn spec(&self) -> &GridSpec {
         &self.spec
@@ -121,14 +109,6 @@ impl<T: Real> CombinationGrid<T> {
             .map(|c| c.coefficient as f64 * c.grid.interpolate(x))
             .sum();
         T::from_f64(acc)
-    }
-
-    /// Batch evaluation, parallel over query points.
-    pub fn evaluate_batch_parallel(&self, xs: &[f64]) -> Vec<T> {
-        let d = self.spec.dim();
-        assert_eq!(xs.len() % d, 0, "flat point array length must be k·d");
-        let n = xs.len() / d;
-        sg_par::par_map_indexed(n, |k| self.evaluate(&xs[k * d..(k + 1) * d]))
     }
 
     /// Total stored values across all components — with the replication
@@ -263,17 +243,6 @@ mod tests {
             CombinationGrid::<f64>::from_fn(GridSpec::new(5, 5), |x| x[0]).replication_factor();
         assert!(r3 > 1.0, "replication {r3}");
         assert!(r5 > r3, "replication should grow with d: {r3} → {r5}");
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let spec = GridSpec::new(3, 3);
-        let comb = CombinationGrid::<f64>::from_fn(spec, |x| x.iter().product());
-        let xs = halton_points(3, 30);
-        let batch = comb.evaluate_batch_parallel(&xs);
-        for (x, &v) in xs.chunks_exact(3).zip(&batch) {
-            assert_eq!(comb.evaluate(x), v);
-        }
     }
 
     #[test]

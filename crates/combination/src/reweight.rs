@@ -167,7 +167,7 @@ pub fn solve_reweight(
 }
 
 /// True when `m ≥ l` componentwise (`m` lies in the upward closure of `l`).
-fn dominates(m: &[Level], l: &[Level]) -> bool {
+pub(crate) fn dominates(m: &[Level], l: &[Level]) -> bool {
     m.iter().zip(l).all(|(a, b)| a >= b)
 }
 

@@ -7,7 +7,7 @@
 //! (component task panic, component dropped pre-commit) — and asserts
 //! the **detect-or-recover contract**:
 //!
-//! 1. *full recovery* — the recovered combination grid is bitwise
+//! 1. *full recovery* — the recovered (folded) grid is bitwise
 //!    identical to the fault-free run,
 //! 2. *partial recovery* — lost components are enumerated and the
 //!    configured policy holds: `Recompute` restores bitwise identity,
@@ -26,9 +26,10 @@
 use crate::campaign::{Campaign, CampaignReport, FaultOutcome, Tally};
 use crate::snapfault::inject_storage;
 use sg_combination::{
-    CombinationExecutor, CombinationGrid, ExecutorConfig, InjectedFaults, RecoveryPolicy,
-    RunOutcome,
+    CombinationExecutor, ExecutorConfig, InjectedFaults, RecoveryPolicy, RunOutcome,
 };
+use sg_core::evaluate::evaluate;
+use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
 use sg_io::{component_boundaries, recover_component_set, FaultSink, MemorySink};
 use sg_prop::Rng;
@@ -139,22 +140,13 @@ fn seeded_case(rng: &mut Rng) -> (CombinationExecutor, impl Fn(&[f64]) -> f64 + 
     (exec, f)
 }
 
-fn grids_bitwise_equal(a: &CombinationGrid<f64>, b: &CombinationGrid<f64>) -> bool {
-    a.components().len() == b.components().len()
-        && a.components().iter().zip(b.components()).all(|(x, y)| {
-            x.coefficient == y.coefficient
-                && x.grid.levels() == y.grid.levels()
-                && x.grid.values() == y.grid.values()
-        })
-}
-
 /// Recover `bytes` under the executor's policy and check the contract
 /// against the fault-free reference grid.
 fn check_recovery(
     exec: &CombinationExecutor,
     f: &(impl Fn(&[f64]) -> f64 + Clone + Sync),
     components: &[sg_combination::AnisoFullGrid<f64>],
-    reference: &CombinationGrid<f64>,
+    reference: &CompactGrid<f64>,
     bytes: &[u8],
 ) -> Result<FaultOutcome, String> {
     // Silent-corruption check: every payload claimed intact must be
@@ -184,15 +176,21 @@ fn check_recovery(
         Ok(run) => run,
         Err(e) => return Ok(FaultOutcome::CleanError(e.to_string())),
     };
+    let bitwise = run
+        .grid
+        .values()
+        .iter()
+        .map(|v| v.to_bits())
+        .eq(reference.values().iter().map(|v| v.to_bits()));
     match run.outcome {
         RunOutcome::Clean => {
-            if !grids_bitwise_equal(&run.grid, reference) {
+            if !bitwise {
                 return Err("clean recovery differs bitwise from the fault-free run".into());
             }
             Ok(FaultOutcome::FullRecovery)
         }
         RunOutcome::Recomputed { components: lost } => {
-            if !grids_bitwise_equal(&run.grid, reference) {
+            if !bitwise {
                 return Err(format!(
                     "recompute of lost components {lost:?} is not bitwise identical"
                 ));
@@ -210,11 +208,11 @@ fn check_recovery(
             let mut scale = 1.0f64;
             let xs = sg_core::functions::halton_points(d, 24);
             for x in xs.chunks_exact(d) {
-                scale = scale.max(reference.evaluate(x).abs());
+                scale = scale.max(evaluate(reference, x).abs());
             }
             for x in xs.chunks_exact(d) {
-                let a = run.grid.evaluate(x);
-                let b = reference.evaluate(x);
+                let a = evaluate(&run.grid, x);
+                let b = evaluate(reference, x);
                 if (a - b).abs() > error_bound + 1e-9 * scale {
                     return Err(format!(
                         "reweight around {dropped:?} leaves its own bound at {x:?}: \

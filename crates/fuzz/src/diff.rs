@@ -12,7 +12,7 @@
 //! | roundtrip       | hierarchize∘dehierarchize | parallel variants        | original nodal values            |
 //! | boundary        | `BoundaryGrid`            | in-repo brute basis sum  | size formula (paper §4.4)        |
 //! | adaptive        | tree-walk evaluate        | brute surplus sum        | regular-grid compact equivalence |
-//! | combination     | inclusion–exclusion       | direct + recursive       | coefficient identity, kernels    |
+//! | combination     | inclusion–exclusion       | direct + recursive       | Σc = 1, bitwise fold, kernels    |
 //! | domain-reject   | compact `evaluate`        | recursive `evaluate`     | — (both must reject)             |
 //!
 //! The compact operations additionally carry a **tier D**: the same
@@ -23,7 +23,9 @@
 //! factors in the same product order with an exact index, so tier D is
 //! compared **bitwise** against tier A on `evaluate`, `batch-*` and
 //! `combination` cases. Hierarchization has a single scalar sweep, so
-//! `hierarchize` and `roundtrip` carry no tier D.
+//! `hierarchize` and `roundtrip` carry no tier D. `combination` cases
+//! also run the executor, whose folded grid must equal the direct
+//! surpluses **bitwise**.
 //!
 //! Comparisons between algorithms that are *defined* to be reorderings
 //! of the same floating-point operations (blocked batches, parallel
@@ -36,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sg_adaptive::AdaptiveSparseGrid;
 use sg_baselines::{evaluate_recursive, hierarchize_recursive, SparseGridStore, StdMapGrid};
-use sg_combination::CombinationGrid;
+use sg_combination::{CombinationExecutor, CombinationGrid};
 use sg_core::boundary::{BoundaryGrid, BoundaryIndexer, DimCoord};
 use sg_core::combinatorics::{binomial, sparse_grid_points};
 use sg_core::evaluate::{evaluate, evaluate_batch, evaluate_batch_into, evaluate_batch_parallel};
@@ -792,8 +794,27 @@ fn combination_diff(case: &Case) -> Result<(), Failure> {
     hierarchize_recursive(&mut store);
     let scale = max_abs(direct.values());
 
+    // The executor folds its recovered components into one compact
+    // grid: that must be the direct surpluses, bit for bit.
+    let folded = CombinationExecutor::new(spec)
+        .run(|x| f.eval(x))
+        .map_err(|e| Failure::new(format!("executor run failed: {e}"), None, d, n))?;
+    if let Some(k) = (0..direct.len())
+        .find(|&k| folded.grid.values()[k].to_bits() != direct.values()[k].to_bits())
+    {
+        return Err(Failure::new(
+            format!(
+                "folded surplus {k}: executor={:?} direct={:?}",
+                folded.grid.values()[k],
+                direct.values()[k]
+            ),
+            None,
+            d,
+            n,
+        ));
+    }
+
     let xs = query_points(&mut qrng, &spec, 12);
-    let batch = combi.evaluate_batch_parallel(&xs);
     // Tier D: the direct interpolant under both forced kernels — the
     // combination identity must hold against each, and each forced run
     // must be bitwise identical to auto dispatch.
@@ -837,14 +858,6 @@ fn combination_diff(case: &Case) -> Result<(), Failure> {
                     n,
                 ));
             }
-        }
-        if a.to_bits() != batch[q].to_bits() {
-            return Err(Failure::new(
-                format!("query {q}: scalar={a:?} batch-parallel={:?}", batch[q]),
-                Some(q),
-                d,
-                n,
-            ));
         }
     }
     Ok(())

@@ -10,7 +10,6 @@
 //! Run with: `cargo run --release -p sg-apps --example combination_technique`
 
 use sg_combination::CombinationGrid;
-use sg_core::evaluate::BLOCK;
 use sg_core::prelude::*;
 use std::time::Instant;
 
@@ -60,10 +59,10 @@ fn main() {
     let xs = halton_points(d, 20_000);
 
     let t0 = Instant::now();
-    let a = evaluate_batch_parallel(&direct, &xs, BLOCK);
+    let a = evaluate_batch(&direct, &xs);
     let t_direct = t0.elapsed();
     let t0 = Instant::now();
-    let b = comb.evaluate_batch_parallel(&xs);
+    let b: Vec<f64> = xs.chunks_exact(d).map(|x| comb.evaluate(x)).collect();
     let t_comb = t0.elapsed();
     let worst = a
         .iter()
@@ -72,7 +71,7 @@ fn main() {
         .fold(0.0f64, f64::max);
 
     println!(
-        "\nbatch evaluation of 20k points at d={d}: direct {:?}, combination {:?} ({} grids), agree to {worst:.1e}",
+        "\nsequential evaluation of 20k points at d={d}: direct {:?}, combination {:?} ({} grids), agree to {worst:.1e}",
         t_direct,
         t_comb,
         comb.components().len()

@@ -13,9 +13,8 @@
 //!   policies, in this crate's telemetry-on build as well as sg-fuzz's
 //!   default build.
 
-use sg_combination::{
-    CombinationExecutor, CombinationGrid, ExecutorConfig, RecoveryPolicy, RunOutcome,
-};
+use sg_combination::{CombinationExecutor, ExecutorConfig, RecoveryPolicy, RunOutcome};
+use sg_core::grid::CompactGrid;
 use sg_core::level::GridSpec;
 use sg_prop::Rng;
 
@@ -27,13 +26,8 @@ fn test_fn(x: &[f64]) -> f64 {
         + (x.iter().sum::<f64>() * 2.0).cos()
 }
 
-fn grids_bitwise_equal(a: &CombinationGrid<f64>, b: &CombinationGrid<f64>) -> bool {
-    a.components().len() == b.components().len()
-        && a.components().iter().zip(b.components()).all(|(x, y)| {
-            x.coefficient == y.coefficient
-                && x.grid.levels() == y.grid.levels()
-                && x.grid.values() == y.grid.values()
-        })
+fn bits(grid: &CompactGrid<f64>) -> Vec<u64> {
+    grid.values().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Fisher–Yates over the task indices, seeded.
@@ -69,8 +63,9 @@ fn runs_are_bitwise_identical_across_thread_counts() {
             .iter()
             .find(|(t, s, _)| *t == 1 && s == spec)
             .expect("single-threaded reference exists");
-        assert!(
-            grids_bitwise_equal(&run.grid, &reference.grid),
+        assert_eq!(
+            bits(&run.grid),
+            bits(&reference.grid),
             "threads={threads} spec d={} levels={} differs from single-threaded bits",
             spec.dim(),
             spec.levels()
@@ -127,7 +122,7 @@ fn recovered_runs_are_bitwise_identical_across_thread_counts_under_loss() {
     }
     sg_par::set_num_threads(restore);
     for run in &recovered[1..] {
-        assert!(grids_bitwise_equal(&run.grid, &recovered[0].grid));
+        assert_eq!(bits(&run.grid), bits(&recovered[0].grid));
     }
 }
 
@@ -161,7 +156,7 @@ fn reweight_coefficients_still_reproduce_constants_after_loss() {
         let bytes = sink.into_published().unwrap();
         match exec.recover_run(&bytes, test_fn) {
             Ok(run) => {
-                let total: i64 = run.grid.components().iter().map(|c| c.coefficient).sum();
+                let total: i64 = run.coefficients.iter().map(|(c, _)| c).sum();
                 assert_eq!(total, 1, "k={k}");
             }
             Err(sg_core::error::SgError::Corrupt(_)) => {} // infeasible is typed

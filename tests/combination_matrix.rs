@@ -12,6 +12,10 @@
 //! a rank/offset bug in the compact structure, a coefficient bug in the
 //! combination, or a lane-order bug in a kernel each breaks a different
 //! edge of the triangle.
+//!
+//! The executor's folded grid is held to more: its surpluses must equal
+//! direct hierarchization **bitwise** over the same matrix, for every
+//! test function, at pool widths 1, 2 and 8.
 
 use sg_baselines::{evaluate_recursive, hierarchize_recursive, SparseGridStore, StdMapGrid};
 use sg_combination::{CombinationExecutor, CombinationGrid, RunOutcome};
@@ -131,25 +135,31 @@ fn both_kernels_agree_bitwise_and_validate_the_combination() {
 
 #[test]
 fn executor_pipeline_cross_validates_over_the_matrix() {
-    // The executor's checkpoint→recover pipeline must preserve the
-    // cross-validation: a clean run recovered from its own manifest is
-    // the same interpolant.
-    let f = TestFunction::Parabola;
-    for spec in matrix() {
-        let d = spec.dim();
-        let run = CombinationExecutor::new(spec).run(|x| f.eval(x)).unwrap();
-        assert_eq!(run.outcome, RunOutcome::Clean);
-        let mut direct = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
-        hierarchize(&mut direct);
-        let scale = direct.values().iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-        for x in probes(d).chunks_exact(d) {
-            let a = run.grid.evaluate(x);
-            let b = evaluate(&direct, x);
-            assert!(
-                (a - b).abs() <= TOL * scale,
-                "d={d} levels={} x={x:?}: executor={a} direct={b}",
-                spec.levels()
-            );
+    // A clean run recovered from its own manifest and folded into one
+    // compact grid carries the direct surpluses bit for bit, at every
+    // pool width: every subspace copies the same `f(x)` bits from a
+    // component and the hierarchization is the direct one.
+    let restore = sg_par::num_threads();
+    for threads in [1usize, 2, 8] {
+        sg_par::set_num_threads(threads);
+        for f in TestFunction::ALL {
+            for spec in matrix() {
+                let run = CombinationExecutor::new(spec).run(|x| f.eval(x)).unwrap();
+                assert_eq!(run.outcome, RunOutcome::Clean);
+                let mut direct = CompactGrid::<f64>::from_fn(spec, |x| f.eval(x));
+                hierarchize(&mut direct);
+                for (k, (a, b)) in run.grid.values().iter().zip(direct.values()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} d={} levels={} threads={threads} surplus {k}: executor={a} direct={b}",
+                        f.name(),
+                        spec.dim(),
+                        spec.levels()
+                    );
+                }
+            }
         }
     }
+    sg_par::set_num_threads(restore);
 }

@@ -1,6 +1,7 @@
 //! Serving correctness: bitwise identity with direct evaluation, and
 //! hot swap under sustained load with zero dropped or torn responses.
 
+use sg_combination::CombinationExecutor;
 use sg_core::evaluate::evaluate_batch;
 use sg_core::grid::CompactGrid;
 use sg_core::hierarchize::hierarchize;
@@ -9,10 +10,12 @@ use sg_serve::{Client, Engine, Fleet, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+fn field(scale: f64, x: &[f64]) -> f64 {
+    scale * ((5.0 * x[0]).sin() + x[1] * x[2] + 0.25 * x[2])
+}
+
 fn make_grid(scale: f64) -> CompactGrid<f64> {
-    let mut g = CompactGrid::from_fn(GridSpec::new(3, 5), |x| {
-        scale * ((5.0 * x[0]).sin() + x[1] * x[2] + 0.25 * x[2])
-    });
+    let mut g = CompactGrid::from_fn(GridSpec::new(3, 5), |x| field(scale, x));
     hierarchize(&mut g);
     g
 }
@@ -32,33 +35,43 @@ fn query_batch(seed: u64, npoints: usize) -> Vec<f64> {
 }
 
 /// The daemon's answers must be bit-for-bit the library's answers, for
-/// batch sizes crossing lane and block boundaries.
+/// batch sizes crossing lane and block boundaries — also for a model
+/// folded from a combination-technique run of the same function.
 #[test]
 fn served_answers_are_bitwise_identical_to_direct_evaluation() {
     let grid = make_grid(1.0);
-    let path = snapshot("bitwise", &grid);
+    let folded = CombinationExecutor::new(*grid.spec())
+        .run(|x| field(1.0, x))
+        .unwrap()
+        .grid;
+    let paths = [snapshot("bitwise", &grid), snapshot("folded", &folded)];
     let fleet = Fleet::new(2);
-    fleet.load("m", &path).unwrap();
+    fleet.load("m", &paths[0]).unwrap();
+    fleet.load("folded", &paths[1]).unwrap();
     let engine = Engine::new(fleet, ServeConfig::default());
     let server = Server::start(engine, Some("127.0.0.1:0"), None).unwrap();
     let addr = server.tcp_addr().unwrap().to_string();
     let mut client = Client::connect_tcp(&addr).unwrap();
     let mut out = Vec::new();
-    for npoints in [1usize, 2, 3, 7, 64, 65, 257, 1024] {
-        let xs = query_batch(npoints as u64, npoints);
-        let want = evaluate_batch(&grid, &xs);
-        client.eval_into("m", 3, &xs, &mut out).unwrap();
-        assert_eq!(out.len(), want.len());
-        for (k, (got, want)) in out.iter().zip(want.iter()).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "point {k} of {npoints} diverged from direct evaluation"
-            );
+    for model in ["m", "folded"] {
+        for npoints in [1usize, 2, 3, 7, 64, 65, 257, 1024] {
+            let xs = query_batch(npoints as u64, npoints);
+            let want = evaluate_batch(&grid, &xs);
+            client.eval_into(model, 3, &xs, &mut out).unwrap();
+            assert_eq!(out.len(), want.len());
+            for (k, (got, want)) in out.iter().zip(want.iter()).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{model}: point {k} of {npoints} diverged from direct evaluation"
+                );
+            }
         }
     }
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    for path in paths {
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// Hammer the server from several connections while the model is
