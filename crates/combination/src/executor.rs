@@ -9,9 +9,10 @@
 //! on every run, not just on failure. Component loss is survived via two
 //! pluggable [`RecoveryPolicy`]s:
 //!
-//! * [`RecoveryPolicy::Recompute`] re-derives each lost component by
-//!   re-sampling the original function. Sampling is deterministic, so the
-//!   recovered run is **bitwise identical** to the fault-free run.
+//! * [`RecoveryPolicy::Recompute`] re-derives each lost support component
+//!   (nonzero coefficient) by re-sampling the original function. Sampling
+//!   is deterministic, so the recovered run is **bitwise identical** to
+//!   the fault-free run.
 //! * [`RecoveryPolicy::Reweight`] solves the inclusion–exclusion
 //!   coefficient adjustment over the surviving downset
 //!   ([`crate::reweight`]) — the combination analogue of `sg-io`'s
@@ -78,8 +79,9 @@ tel! {
 /// What the executor does about components it cannot read back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
-    /// Re-sample every lost component exactly; the result is bitwise
-    /// identical to the fault-free run.
+    /// Re-sample every lost support component exactly; the result is
+    /// bitwise identical to the fault-free run. Lost spares stay lost:
+    /// the fold never reads them.
     Recompute,
     /// Re-solve the combination coefficients over the surviving downset
     /// and report a rigorous error bound; no re-sampling.
@@ -141,7 +143,8 @@ pub enum RunOutcome {
     /// The listed task indices were re-sampled; the result is bitwise
     /// identical to a fault-free run.
     Recomputed {
-        /// Task indices that were lost and re-derived.
+        /// Lost support tasks that were re-derived (empty when only
+        /// spares were lost).
         components: Vec<usize>,
     },
     /// The coefficients were re-solved around the listed lost tasks.
@@ -375,12 +378,14 @@ impl CombinationExecutor {
         let (coefficients, outcome) = match self.cfg.policy {
             _ if lost.is_empty() => (scheme(), RunOutcome::Clean),
             RecoveryPolicy::Recompute => {
-                for &k in &lost {
+                // The fold reads only support payloads.
+                let components: Vec<usize> =
+                    lost.iter().copied().filter(|&k| tasks[k].0 != 0).collect();
+                for &k in &components {
                     let grid = AnisoFullGrid::from_fn(&tasks[k].1, &f);
                     payloads[k] = Some(grid.values().to_vec());
                     tel! { EXEC_RECOMPUTED.add(1); }
                 }
-                let components = lost.clone();
                 (scheme(), RunOutcome::Recomputed { components })
             }
             RecoveryPolicy::Reweight => {
@@ -579,20 +584,24 @@ mod tests {
 
     #[test]
     fn drop_pre_commit_recompute_restores_bitwise_identity() {
-        let spec = GridSpec::new(3, 3);
+        // Level 4 schedules one spare below the scheme's lowest diagonal.
+        let spec = GridSpec::new(3, 4);
         let exec = CombinationExecutor::new(spec);
+        assert_eq!(exec.spare_tasks(), 1);
         let reference = gold(spec);
         let components = exec.compute_components(test_fn).unwrap();
-        for k in 0..exec.tasks().len() {
+        for (k, (coefficient, _)) in exec.tasks().iter().enumerate() {
             let mut sink = MemorySink::new();
             exec.checkpoint(&components, &mut sink, Some(k)).unwrap();
             let bytes = sink.into_published().unwrap();
             let run = exec.recover_run(&bytes, test_fn).unwrap();
             assert_eq!(run.lost_components, vec![k]);
+            // A lost spare is not re-sampled: the fold never reads it.
+            let resampled = if *coefficient != 0 { vec![k] } else { vec![] };
             assert_eq!(
                 run.outcome,
                 RunOutcome::Recomputed {
-                    components: vec![k]
+                    components: resampled
                 }
             );
             assert_eq!(bits(&run.grid), bits(&reference.grid), "k={k}");

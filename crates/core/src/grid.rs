@@ -6,7 +6,7 @@
 //! tables.
 
 use crate::bijection::GridIndexer;
-use crate::iter::{for_each_point, PointCursor};
+use crate::iter::PointCursor;
 use crate::level::{coordinate, GridSpec, Index, Level};
 use crate::real::Real;
 
@@ -55,15 +55,9 @@ impl<T: Real> CompactGrid<T> {
     }
 
     /// Sample `f` at every grid point (nodal values), sequentially.
-    pub fn from_fn(spec: GridSpec, mut f: impl FnMut(&[f64]) -> T) -> Self {
+    pub fn from_fn(spec: GridSpec, f: impl FnMut(&[f64]) -> T) -> Self {
         let mut grid = Self::new(spec);
-        let mut coords = vec![0.0; spec.dim()];
-        for_each_point(&spec, |idx, l, i| {
-            for t in 0..spec.dim() {
-                coords[t] = coordinate(l[t], i[t]);
-            }
-            grid.values[idx as usize] = f(&coords);
-        });
+        sample_run(PointCursor::start(&spec), &mut grid.values, f);
         grid
     }
 
@@ -85,7 +79,6 @@ impl<T: Real> CompactGrid<T> {
     ) -> Result<Self, crate::error::SgError> {
         const CHUNK: usize = 1024;
         let mut grid = Self::try_new(spec)?;
-        let d = spec.dim();
         let indexer = grid.indexer.clone();
         sg_par::par_chunks_mut_grained(
             &mut grid.values,
@@ -93,19 +86,8 @@ impl<T: Real> CompactGrid<T> {
             4,
             "core.grid.sample",
             None,
-            |ci, chunk| {
-                // One `idx2gp` per chunk; every later point is a step.
-                let mut p = PointCursor::at(&indexer, (ci * CHUNK) as u64);
-                let mut coords = vec![0.0f64; d];
-                for v in chunk.iter_mut() {
-                    let (l, i) = (p.level(), p.index());
-                    for t in 0..d {
-                        coords[t] = coordinate(l[t], i[t]);
-                    }
-                    *v = f(&coords);
-                    p.advance();
-                }
-            },
+            // One `idx2gp` per chunk; every later point is a step.
+            |ci, chunk| sample_run(PointCursor::at(&indexer, (ci * CHUNK) as u64), chunk, &f),
         );
         Ok(grid)
     }
@@ -229,6 +211,22 @@ impl<T: Real> CompactGrid<T> {
             .zip(&other.values)
             .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Sample `f` into `out` at consecutive points in `gp2idx` order, starting
+/// at `p`. A step keeps the coordinates below the lowest dimension it
+/// changed, so each point recomputes only its trailing coordinates.
+fn sample_run<T: Real>(mut p: PointCursor, out: &mut [T], mut f: impl FnMut(&[f64]) -> T) {
+    let mut coords = vec![0.0f64; p.level().len()];
+    let mut from = 0;
+    for v in out {
+        for t in from..coords.len() {
+            coords[t] = coordinate(p.level()[t], p.index()[t]);
+        }
+        *v = f(&coords);
+        // Past the grid's last point `out` is spent too.
+        from = p.advance().unwrap_or(0);
     }
 }
 

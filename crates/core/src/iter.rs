@@ -184,26 +184,29 @@ impl PointCursor {
         &self.i
     }
 
-    /// Step to the next point in `gp2idx` order. Returns `false` when the
-    /// current point was the grid's last; the cursor is spent then.
+    /// Step to the next point in `gp2idx` order. Returns the lowest
+    /// dimension whose `(l_t, i_t)` may have changed: every dimension below
+    /// it is untouched (an odometer step in `t` resets only `t + 1..d`; a
+    /// new subspace reports 0). Returns `None` when the current point was
+    /// the grid's last; the cursor is spent then.
     #[inline]
-    pub(crate) fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> Option<usize> {
         for t in (0..self.l.len()).rev() {
             if self.i[t] + 2 < 2 << self.l[t] {
                 self.i[t] += 2;
-                return true;
+                return Some(t);
             }
             self.i[t] = 1;
         }
         if next_level(&mut self.l) {
-            return true;
+            return Some(0);
         }
         if self.n + 1 < self.levels {
             self.n += 1;
             first_level(self.n, &mut self.l);
-            return true;
+            return Some(0);
         }
-        false
+        None
     }
 }
 
@@ -216,7 +219,7 @@ pub fn for_each_point(spec: &GridSpec, mut f: impl FnMut(u64, &[Level], &[Index]
     loop {
         f(idx, p.level(), p.index());
         idx += 1;
-        if !p.advance() {
+        if p.advance().is_none() {
             break;
         }
     }
@@ -341,11 +344,20 @@ mod tests {
             let last = ix.num_points() - 1;
             for idx in 0..last {
                 let mut p = PointCursor::at(&ix, idx);
-                assert!(p.advance(), "d={d} idx={idx}");
+                let (l0, i0) = (p.level().to_vec(), p.index().to_vec());
+                let t = p.advance().unwrap_or_else(|| panic!("d={d} idx={idx}"));
                 let q = PointCursor::at(&ix, idx + 1);
                 assert_eq!((p.level(), p.index()), (q.level(), q.index()));
+                assert_eq!(
+                    (&l0[..t], &i0[..t]),
+                    (&p.level()[..t], &p.index()[..t]),
+                    "d={d} idx={idx}: a dimension below the reported {t} changed"
+                );
             }
-            assert!(!PointCursor::at(&ix, last).advance(), "d={d} past the end");
+            assert!(
+                PointCursor::at(&ix, last).advance().is_none(),
+                "d={d} past the end"
+            );
         }
     }
 

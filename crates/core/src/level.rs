@@ -199,9 +199,12 @@ impl GridPoint {
 }
 
 /// Coordinate of the 1-d point `(l, i)`: `i · 2^{−(l+1)}`.
+///
+/// The factor is built from its exponent bits, so the product is exact
+/// and bitwise equal to `i / 2^{l+1}` without a division.
 #[inline(always)]
 pub fn coordinate(l: Level, i: Index) -> f64 {
-    i as f64 / (1u64 << (l as u32 + 1)) as f64
+    i as f64 * f64::from_bits((1022 - l as u64) << 52)
 }
 
 /// Direction towards a 1-d hierarchical neighbour.
@@ -266,6 +269,23 @@ pub fn hat(l: Level, i: Index, x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coordinate_equals_the_division_bitwise() {
+        // Level 30 is the finest a grid can have (refinement level 31).
+        for l in 0..=30u8 {
+            let top = (1u64 << (l + 1)) as Index - 1;
+            // Every index up to level 12, the boundary ones above.
+            let is: Vec<Index> = match l {
+                0..=12 => (1..=top).step_by(2).collect(),
+                _ => vec![1, 3, top - 2, top],
+            };
+            for i in is {
+                let div = i as f64 / (1u64 << (l + 1)) as f64;
+                assert_eq!(coordinate(l, i).to_bits(), div.to_bits(), "l={l} i={i}");
+            }
+        }
+    }
 
     #[test]
     fn spec_counts() {

@@ -189,13 +189,15 @@ fn check_recovery(
             }
             Ok(FaultOutcome::FullRecovery)
         }
-        RunOutcome::Recomputed { components: lost } => {
+        RunOutcome::Recomputed { components } => {
             if !bitwise {
                 return Err(format!(
-                    "recompute of lost components {lost:?} is not bitwise identical"
+                    "recompute of lost components {components:?} is not bitwise identical"
                 ));
             }
-            Ok(FaultOutcome::PartialRecovery { lost_groups: lost })
+            Ok(FaultOutcome::PartialRecovery {
+                lost_groups: run.lost_components,
+            })
         }
         RunOutcome::Reweighted {
             dropped,
